@@ -1,137 +1,68 @@
 """Exact Lin-Lu-Yau curvature on graphs and the exhaustive classification
 of positively curved generalized Halin graphs."""
 
-from .canonical import are_isomorphic, canonical_form, canonical_graph
+from .canonical import are_isomorphic, canonical_form
 from .curvature import (
-    CouplingCertificate,
     CurvatureError,
-    CurvatureReport,
-    LipschitzCertificate,
     OracleInfeasibleError,
     c3c4_upper_bound,
-    certificate_from_json,
-    certificate_to_json,
     check_coupling_certificate,
     check_lipschitz_certificate,
     coupling_certificate,
     curvature_report,
-    critical_alpha,
     kappa_alpha,
     kappa_lly,
     kappa_lly_dual,
     lipschitz_certificate,
 )
 from .enumeration import (
-    ClassEntry,
     ClassificationResult,
-    FamilyLabel,
     VerificationReport,
     enumerate_halin,
-    ordered_tree_shapes,
-    recognize_family,
-    rooted_plane_trees,
     verify_theorem,
 )
 from .formats import (
-    detect_and_parse,
     from_graph6,
     parse_edge_list,
     to_dot,
     to_graph6,
     write_edge_list,
 )
-from .graph import Graph, GraphError, edge_in_c3_or_c4, from_edge_list
-from .halin import (
-    ComponentProfile,
-    HalinError,
-    HalinGraph,
-    PlaneTree,
-    build_halin,
-    component_profile,
-    corollary34_violated,
-    is_halin,
-    lemma32_violated,
-    lemma33_violated,
-    parse_family_spec,
-    prune_negative,
-    tree_profile,
-    wheel,
-    wheel_sub1,
-    wheel_sub2,
-)
-from .transport import (
-    Measure,
-    TransportError,
-    TransportResult,
-    check_coupling,
-    coupling_cost,
-    vertex_measure,
-    wasserstein,
-)
+from .graph import Graph, GraphError
+from .halin import HalinError, PlaneTree, build_halin, wheel
+from .transport import TransportError, wasserstein
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "GraphError",
-    "from_edge_list",
-    "edge_in_c3_or_c4",
-    "Measure",
-    "TransportError",
-    "TransportResult",
-    "vertex_measure",
-    "wasserstein",
-    "coupling_cost",
-    "check_coupling",
-    "CurvatureError",
-    "OracleInfeasibleError",
-    "CurvatureReport",
-    "LipschitzCertificate",
-    "CouplingCertificate",
-    "critical_alpha",
-    "kappa_alpha",
     "kappa_lly",
     "kappa_lly_dual",
-    "c3c4_upper_bound",
     "curvature_report",
+    "kappa_alpha",
+    "wasserstein",
+    "c3c4_upper_bound",
     "lipschitz_certificate",
     "coupling_certificate",
     "check_lipschitz_certificate",
     "check_coupling_certificate",
-    "certificate_to_json",
-    "certificate_from_json",
+    "enumerate_halin",
+    "ClassificationResult",
+    "verify_theorem",
+    "VerificationReport",
     "canonical_form",
-    "canonical_graph",
     "are_isomorphic",
     "to_graph6",
     "from_graph6",
     "parse_edge_list",
     "write_edge_list",
-    "detect_and_parse",
     "to_dot",
     "PlaneTree",
-    "HalinGraph",
-    "HalinError",
-    "ComponentProfile",
     "build_halin",
     "wheel",
-    "wheel_sub1",
-    "wheel_sub2",
-    "component_profile",
-    "tree_profile",
-    "lemma32_violated",
-    "lemma33_violated",
-    "corollary34_violated",
-    "prune_negative",
-    "is_halin",
-    "parse_family_spec",
-    "FamilyLabel",
-    "ClassEntry",
-    "ClassificationResult",
-    "VerificationReport",
-    "ordered_tree_shapes",
-    "rooted_plane_trees",
-    "enumerate_halin",
-    "recognize_family",
-    "verify_theorem",
+    "GraphError",
+    "HalinError",
+    "TransportError",
+    "CurvatureError",
+    "OracleInfeasibleError",
 ]

@@ -29,6 +29,7 @@ from .curvature import (
 from .enumeration import (
     classification_to_json_dict,
     enumerate_halin,
+    family_counts,
     verify_theorem,
 )
 from .formats import detect_and_parse, to_dot, to_graph6, write_edge_list
@@ -156,11 +157,7 @@ def _cmd_enum(args) -> int:
     if args.halin_only:
         classes = result.halin_classes()
         zeros = tuple(e for e in result.zero_classes if e.halin)
-        counts = {"W": 0, "W1": 0, "W2": 0, "sporadic": 0}
-        counts_by_n: dict[int, int] = {}
-        for e in classes:
-            counts[e.family.kind] += 1
-            counts_by_n[e.n] = counts_by_n.get(e.n, 0) + 1
+        counts, counts_by_n = family_counts(classes)
         result = dataclasses.replace(
             result,
             classes=classes,

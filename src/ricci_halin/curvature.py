@@ -68,8 +68,13 @@ def kappa_lly(g: Graph, e: Sequence[int]) -> Fraction:
 
 
 def _dual_search(
-    g: Graph, x: int, y: int
+    g: Graph, x: int, y: int, threshold: int
 ) -> tuple[Fraction, dict[int, int]]:
+    if g.degree(x) + g.degree(y) > threshold:
+        raise OracleInfeasibleError(
+            f"oracle infeasible: d_x + d_y = {g.degree(x) + g.degree(y)} "
+            f"exceeds threshold {threshold}"
+        )
     domain = sorted(set(g.adj[x]) | set(g.adj[y]) | {x, y})
     dx, dy = g.degree(x), g.degree(y)
     base = ONE + Fraction(1, dx)  # contribution of f(y)=1 through Df(x)
@@ -145,12 +150,7 @@ def kappa_lly_dual(
 ) -> Fraction:
     """Curvature by exhaustive search over integer Lipschitz functions."""
     x, y = require_edge(g, e)
-    if g.degree(x) + g.degree(y) > threshold:
-        raise OracleInfeasibleError(
-            f"oracle infeasible: d_x + d_y = {g.degree(x) + g.degree(y)} "
-            f"exceeds threshold {threshold}"
-        )
-    return _dual_search(g, x, y)[0]
+    return _dual_search(g, x, y, threshold)[0]
 
 
 def lipschitz_certificate(
@@ -158,12 +158,7 @@ def lipschitz_certificate(
 ) -> "LipschitzCertificate":
     """An optimal dual witness: certifies the exact curvature from above."""
     x, y = require_edge(g, e)
-    if g.degree(x) + g.degree(y) > threshold:
-        raise OracleInfeasibleError(
-            f"oracle infeasible: d_x + d_y = {g.degree(x) + g.degree(y)} "
-            f"exceeds threshold {threshold}"
-        )
-    _, f = _dual_search(g, x, y)
+    _, f = _dual_search(g, x, y, threshold)
     return LipschitzCertificate((x, y), f)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .canonical import canonical_certificate, canonical_form
 from .curvature import CurvatureReport, c3c4_upper_bound, curvature_report
@@ -26,6 +26,7 @@ from .halin import (
     Shape,
     build_halin,
     halin_edges,
+    is_halin,
     lemma32_violated,
     lemma33_violated,
     tree_profile,
@@ -152,15 +153,31 @@ def distinct_halin_graphs(n_max: int) -> Iterator[HalinGraph]:
         yield build_halin(PlaneTree.from_shape(shape))
 
 
-def _survives_pruning(t: PlaneTree, g: Graph) -> bool:
+def prune_negative(t: PlaneTree, g: Graph) -> bool:
+    """True only when a certified bound forces an edge with kappa <= 0 in
+    g, the Halin graph of t: Lemma 3.2 or Lemma 3.3 on the tree layout,
+    else the C3/C4 degree bound on some edge.
+
+    Sound, not complete: wheels near the positivity boundary pass the
+    lemmas and are settled by exact computation.
+    """
     p = tree_profile(t)
     if lemma32_violated(p) or lemma33_violated(p):
-        return False
+        return True
     for e in g.edges():
         bound = c3c4_upper_bound(g, e)
         if bound is not None and bound <= 0:
-            return False
-    return True
+            return True
+    return False
+
+
+def _keep_least(
+    survivors: dict[tuple[int, int], Shape], key: tuple[int, int], shape: Shape
+) -> None:
+    """Keep the lexicographically least generating shape per class."""
+    old = survivors.get(key)
+    if old is None or shape < old:
+        survivors[key] = shape
 
 
 def _classify_chunk(
@@ -178,23 +195,24 @@ def _classify_chunk(
         t = PlaneTree.from_shape(shape)
         tree_e, cycle_e, _ = halin_edges(t)
         g = Graph(t.n, tree_e + cycle_e)
-        if use_pruning and not _survives_pruning(t, g):
+        if use_pruning and prune_negative(t, g):
             pruned += 1
             continue
         key = (t.n, canonical_certificate(t.n, list(g._masks)))
-        old = survivors.get(key)
-        if old is None or shape < old:
-            survivors[key] = shape
+        _keep_least(survivors, key, shape)
     return survivors, pruned, generated
 
 
-def _merge_survivors(
-    into: dict[tuple[int, int], Shape], part: dict[tuple[int, int], Shape]
-) -> None:
-    for key, shape in part.items():
-        old = into.get(key)
-        if old is None or shape < old:
-            into[key] = shape
+def family_counts(
+    classes: Iterable[ClassEntry],
+) -> tuple[dict[str, int], dict[int, int]]:
+    """Classes per family kind, and classes per vertex count."""
+    counts: dict[str, int] = {"W": 0, "W1": 0, "W2": 0, "sporadic": 0}
+    counts_by_n: dict[int, int] = {}
+    for e in classes:
+        counts[e.family.kind] += 1
+        counts_by_n[e.n] = counts_by_n.get(e.n, 0) + 1
+    return counts, counts_by_n
 
 
 def enumerate_halin(
@@ -224,7 +242,8 @@ def enumerate_halin(
         ]
         with mp.Pool(workers) as pool:
             for part, p, g in pool.imap_unordered(_classify_chunk, chunks):
-                _merge_survivors(survivors, part)
+                for key, shape in part.items():
+                    _keep_least(survivors, key, shape)
                 pruned += p
                 generated += g
 
@@ -243,7 +262,7 @@ def enumerate_halin(
             graph=canon,
             report=report,
             family=recognize_family(h),
-            halin=all(canon.degree(v) >= 3 for v in range(canon.n)),
+            halin=is_halin(canon),
             source_shape=shape,
         )
         if report.min_curvature > 0:
@@ -267,11 +286,7 @@ def enumerate_halin(
                 entry.halin,
                 entry.source_shape,
             )
-    counts: dict[str, int] = {"W": 0, "W1": 0, "W2": 0, "sporadic": 0}
-    counts_by_n: dict[int, int] = {}
-    for entry in positives:
-        counts[entry.family.kind] += 1
-        counts_by_n[entry.n] = counts_by_n.get(entry.n, 0) + 1
+    counts, counts_by_n = family_counts(positives)
     return ClassificationResult(
         n_max=n_max,
         use_pruning=use_pruning,
@@ -320,9 +335,7 @@ def verify_theorem(n_max: int, workers: int = 1) -> VerificationReport:
             f"expected {EXPECTED_TOTAL} positively curved classes with "
             f"<= 12 vertices, found {len(small)}"
         )
-    got_counts = {"W": 0, "W1": 0, "W2": 0, "sporadic": 0}
-    for e in small:
-        got_counts[e.family.kind] += 1
+    got_counts, _ = family_counts(small)
     if got_counts != EXPECTED_COUNTS:
         failures.append(
             f"family counts {got_counts} != expected {EXPECTED_COUNTS}"

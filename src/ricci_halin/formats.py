@@ -9,7 +9,7 @@ header is accepted on input and omitted on output.
 """
 from __future__ import annotations
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, normalize_edge
 
 GRAPH6_HEADER = b">>graph6<<"
 
@@ -103,7 +103,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"expected header 'n m', got {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
+    edges = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -112,7 +112,10 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphError(f"bad edge line {ln!r}") from None
-        edges.append((u, v))
+        e = normalize_edge(u, v)
+        if e in edges:
+            raise GraphError(f"repeated edge {ln!r}")
+        edges.add(e)
     return Graph(n, edges)
 
 
@@ -124,16 +127,19 @@ def write_edge_list(g: Graph) -> str:
 
 def detect_and_parse(text: str) -> Graph:
     """Parse a graph from text, auto-detecting edge-list vs graph6."""
-    stripped = text.strip()
-    if not stripped:
+    if not text.strip():
         raise GraphError("empty graph input")
-    first = next(
-        (ln for ln in stripped.splitlines() if not ln.lstrip().startswith("#")),
-        "",
-    ).strip()
+    content = (
+        ln.strip()
+        for ln in text.splitlines()
+        if ln.strip() and not ln.lstrip().startswith("#")
+    )
+    first = next(content, "")
     parts = first.split()
     if len(parts) == 2 and all(p.isdigit() for p in parts):
         return parse_edge_list(text)
+    if next(content, None) is not None:
+        raise GraphError("graph6 input holds more than one graph")
     return from_graph6(first)
 
 

@@ -126,11 +126,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated Graph from a vertex count and an edge collection."""
-    return Graph(n, edges)
-
-
 def require_edge(g: Graph, e: Sequence[int]) -> tuple[int, int]:
     """Validate that e = (x, y) is an edge of g and return it as given."""
     try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .curvature import c3c4_upper_bound
 from .graph import Graph, normalize_edge
 
 Shape = tuple  # nested tuples; () is a leaf
@@ -101,22 +100,6 @@ class PlaneTree:
             normalize_edge(self.parent[v], v) for v in range(1, self.n)
         )
 
-    def depths_from(self, start: int) -> tuple[int, ...]:
-        """Tree distance from `start` to every vertex."""
-        dist = [-1] * self.n
-        dist[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            nxt = list(self.children[v])
-            if v != 0:
-                nxt.append(self.parent[v])
-            for u in nxt:
-                if dist[u] == -1:
-                    dist[u] = dist[v] + 1
-                    stack.append(u)
-        return tuple(dist)
-
     def __repr__(self) -> str:
         return f"PlaneTree(n={self.n}, children={self.children})"
 
@@ -127,7 +110,6 @@ class HalinGraph:
 
     graph: Graph
     tree_edges: tuple[tuple[int, int], ...]
-    cycle_edges: tuple[tuple[int, int], ...]
     leaf_order: tuple[int, ...]
     source_tree: PlaneTree
 
@@ -155,7 +137,7 @@ def build_halin(t: PlaneTree) -> HalinGraph:
     for v in leaves:
         assert g.degree(v) == 3
     assert g.num_edges() == t.n - 1 + len(leaves)
-    return HalinGraph(g, tree_e, cycle_e, leaves, t)
+    return HalinGraph(g, tree_e, leaves, t)
 
 
 def wheel(n: int) -> HalinGraph:
@@ -196,8 +178,6 @@ class ComponentProfile:
     """
 
     hub: int
-    max_tree_degree: int
-    num_leaves: int
     components: tuple[tuple[int, ...], ...]
     component_of: dict[int, int]
     tree_dist: tuple[int, ...]
@@ -207,25 +187,19 @@ class ComponentProfile:
 def tree_profile(t: PlaneTree) -> ComponentProfile:
     dmax = t.max_degree()
     hub = min(v for v in range(t.n) if t.tree_degree(v) == dmax)
-    dist = t.depths_from(hub)
-    # branch id: which tree neighbor of the hub leads to each vertex
+    # one walk from the hub: tree distance, and the branch id (the hub's
+    # tree neighbour that leads to the vertex); the root's parent is -1
+    dist = [-1] * t.n
     branch = [-1] * t.n
-    order: list[int] = []
-    nbrs = list(t.children[hub])
-    if hub != 0:
-        nbrs.append(t.parent[hub])
-    for u in nbrs:
-        stack = [u]
-        branch[u] = u
-        while stack:
-            v = stack.pop()
-            nxt = list(t.children[v])
-            if v != 0:
-                nxt.append(t.parent[v])
-            for w in nxt:
-                if w != hub and branch[w] == -1:
-                    branch[w] = u
-                    stack.append(w)
+    dist[hub] = 0
+    stack = [hub]
+    while stack:
+        v = stack.pop()
+        for w in (*t.children[v], t.parent[v]):
+            if w >= 0 and dist[w] < 0:
+                dist[w] = dist[v] + 1
+                branch[w] = w if v == hub else branch[v]
+                stack.append(w)
     leaves = t.contour_leaves()
     # rotate so a component boundary sits at position 0, then cut into runs
     k = len(leaves)
@@ -247,17 +221,11 @@ def tree_profile(t: PlaneTree) -> ComponentProfile:
     }
     return ComponentProfile(
         hub=hub,
-        max_tree_degree=dmax,
-        num_leaves=k,
         components=tuple(tuple(c) for c in components),
         component_of=component_of,
-        tree_dist=dist,
+        tree_dist=tuple(dist),
         leaf_order=leaves,
     )
-
-
-def component_profile(h: HalinGraph) -> ComponentProfile:
-    return tree_profile(h.source_tree)
 
 
 def lemma32_violated(p: ComponentProfile) -> bool:
@@ -281,32 +249,9 @@ def lemma33_violated(p: ComponentProfile) -> bool:
     return False
 
 
-def corollary34_violated(p: ComponentProfile) -> bool:
-    """Exactly D(T) leaves with D(T) >= 4, yet some leaf at distance >= 3."""
-    if p.num_leaves != p.max_tree_degree or p.max_tree_degree < 4:
-        return False
-    return any(p.tree_dist[v] >= 3 for v in p.leaf_order)
-
-
-def prune_negative(h: HalinGraph) -> bool:
-    """True only when some certified bound forces an edge with kappa <= 0.
-
-    Sound, not complete: wheels near the positivity boundary pass the
-    lemmas and are settled by exact computation.
-    """
-    p = component_profile(h)
-    if lemma32_violated(p) or lemma33_violated(p):
-        return True
-    for e in h.graph.edges():
-        bound = c3c4_upper_bound(h.graph, e)
-        if bound is not None and bound <= 0:
-            return True
-    return False
-
-
-def is_halin(h: HalinGraph) -> bool:
+def is_halin(g: Graph) -> bool:
     """No degree-2 vertex: the underlying tree never subdivides an edge."""
-    return all(h.graph.degree(v) >= 3 for v in range(h.n))
+    return all(g.degree(v) >= 3 for v in range(g.n))
 
 
 def parse_family_spec(spec: str) -> HalinGraph:

@@ -59,9 +59,6 @@ class Measure:
             return NotImplemented
         return self._mass == other._mass
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._mass.items()))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}: {m}" for v, m in self.items())
         return f"Measure({{{inner}}})"

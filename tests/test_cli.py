@@ -103,6 +103,8 @@ def test_curv_parse_failures_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("3 1\n0 7\n", encoding="ascii")
     assert main(["curv", str(bad)]) == 1
+    bad.write_text("C~\nD]{\n", encoding="ascii")  # two graph6 graphs
+    assert main(["curv", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
 
 

@@ -103,6 +103,7 @@ def test_edge_list_comments_and_whitespace():
         "3 1\n0 1 2\n",  # bad edge line
         "3 1\n0 q\n",
         "3 1\n0 3\n",  # edge out of range (GraphError from Graph)
+        "3 3\n0 1\n1 2\n1 0\n",  # repeated edge, reversed
     ],
 )
 def test_edge_list_rejects_malformed(text):
@@ -116,6 +117,10 @@ def test_detect_and_parse_both_formats():
     assert detect_and_parse(to_graph6(g).decode("ascii") + "\n") == g
     with pytest.raises(GraphError):
         detect_and_parse("   ")
+    with pytest.raises(GraphError, match="more than one graph"):
+        detect_and_parse("C~\nD]{\n")
+    # comments and blank lines around a single graph6 line are fine
+    assert detect_and_parse("# K4\n\nC~\n\n") == detect_and_parse("C~")
 
 
 def test_dot_output_plain_and_labeled():

@@ -8,7 +8,6 @@ from ricci_halin.graph import (
     Graph,
     GraphError,
     edge_in_c3_or_c4,
-    from_edge_list,
     normalize_edge,
     require_edge,
 )
@@ -81,7 +80,7 @@ def test_has_edge_bounds():
 def test_edges_listing_round_trips():
     g = cycle(5)
     assert g.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-    assert from_edge_list(5, g.edges()) == g
+    assert Graph(5, g.edges()) == g
 
 
 def test_distances_on_cycle():

@@ -5,19 +5,17 @@ import pytest
 
 from ricci_halin.canonical import are_isomorphic, canonical_form
 from ricci_halin.curvature import curvature_report
+from ricci_halin.enumeration import prune_negative
 from ricci_halin.graph import Graph
 from ricci_halin.halin import (
     HalinError,
     PlaneTree,
     build_halin,
-    component_profile,
-    corollary34_violated,
     halin_edges,
     is_halin,
     lemma32_violated,
     lemma33_violated,
     parse_family_spec,
-    prune_negative,
     tree_profile,
     wheel,
     wheel_sub1,
@@ -76,10 +74,15 @@ def test_degree_one_root_leads_the_contour():
     assert are_isomorphic(h.graph, wheel(5).graph)
 
 
-def test_depths_from_walks_both_directions():
+def test_profile_distances_walk_both_directions():
     t = PlaneTree.from_shape(((), ((), ()), ()))
-    assert t.depths_from(0) == (0, 1, 1, 2, 2, 1)
-    assert t.depths_from(3) == (2, 3, 1, 0, 2, 3)
+    assert tree_profile(t).tree_dist == (0, 1, 1, 2, 2, 1)
+    # path 0-1-2 ending in a degree-4 hub: the walk climbs to the root
+    t = PlaneTree.from_shape(((((), (), ()),),))
+    p = tree_profile(t)
+    assert p.hub == 2
+    assert p.tree_dist == (2, 1, 0, 1, 1, 1)
+    assert sorted(len(c) for c in p.components) == [1, 1, 1, 1]
 
 
 def test_build_halin_structure():
@@ -111,7 +114,9 @@ def test_build_halin_invariants_on_random_trees():
         for v in range(t.n):
             expected = t.tree_degree(v) + (2 if t.is_leaf(v) else 0)
             assert h.graph.degree(v) == expected
-        assert is_halin(h) == all(t.tree_degree(v) != 2 for v in range(t.n))
+        assert is_halin(h.graph) == all(
+            t.tree_degree(v) != 2 for v in range(t.n)
+        )
 
 
 def test_wheel_families_shapes_and_degrees():
@@ -119,18 +124,18 @@ def test_wheel_families_shapes_and_degrees():
     assert w6.n == 6
     assert w6.graph.degree(0) == 5
     assert all(w6.graph.degree(v) == 3 for v in range(1, 6))
-    assert is_halin(w6)
+    assert is_halin(w6.graph)
 
     s7 = wheel_sub1(7)
     degs = sorted(s7.graph.degree(v) for v in range(7))
     assert degs == [2, 3, 3, 3, 3, 3, 5]
-    assert not is_halin(s7)
+    assert not is_halin(s7.graph)
     assert s7.graph.num_edges() == 2 * 7 - 3
 
     s8 = wheel_sub2(8)
     degs = sorted(s8.graph.degree(v) for v in range(8))
     assert degs == [2, 2, 3, 3, 3, 3, 3, 5]
-    assert not is_halin(s8)
+    assert not is_halin(s8.graph)
     assert s8.graph.num_edges() == 2 * 8 - 4
 
 
@@ -165,14 +170,12 @@ def test_parse_family_spec():
 
 
 def test_profile_of_wheel_is_all_singletons():
-    p = component_profile(wheel(6))
+    p = tree_profile(wheel(6).source_tree)
     assert p.hub == 0
-    assert p.max_tree_degree == 5
-    assert p.num_leaves == 5
+    assert len(p.components) == 5
     assert all(len(c) == 1 for c in p.components)
     assert not lemma32_violated(p)
     assert not lemma33_violated(p)
-    assert not corollary34_violated(p)
 
 
 def test_profile_groups_leaves_by_branch():
@@ -207,28 +210,19 @@ def test_lemma33_detects_deep_cross_branch_cycle_edges():
     assert not lemma33_violated(tree_profile(shallow))
 
 
-def test_corollary34_needs_degree_bound_and_deep_leaf():
-    deep = PlaneTree.from_shape(((((),),), (), (), ()))
-    assert corollary34_violated(tree_profile(deep))
-    shallow = PlaneTree.from_shape((((),), (), (), ()))
-    assert not corollary34_violated(tree_profile(shallow))
-    # same deep branch but hub degree 3 is exempt
-    deg3 = PlaneTree.from_shape(((((),),), (), ()))
-    assert not corollary34_violated(tree_profile(deg3))
-    # more leaves than the maximum degree is exempt
-    extra = PlaneTree.from_shape((((), ()), (), ((), ()), ()))
-    assert not corollary34_violated(tree_profile(extra))
+def pruned(h):
+    return prune_negative(h.source_tree, h.graph)
 
 
 def test_prune_negative_on_known_graphs():
-    assert not prune_negative(wheel(12))
-    assert not prune_negative(wheel(13))  # zero curvature passes the lemmas
-    assert prune_negative(build_halin(PlaneTree.from_shape(
+    assert not pruned(wheel(12))
+    assert not pruned(wheel(13))  # zero curvature passes the lemmas
+    assert pruned(build_halin(PlaneTree.from_shape(
         (((), ()), ((), ()), ())
     )))
     # deep leaves force a long cross-branch cycle edge
     deep = build_halin(PlaneTree.from_shape(((((),),), ((),), ())))
-    assert prune_negative(deep)
+    assert pruned(deep)
 
 
 def test_pruned_trees_really_have_nonpositive_edges():
@@ -241,7 +235,7 @@ def test_pruned_trees_really_have_nonpositive_edges():
         except HalinError:
             continue
         h = build_halin(t)
-        if prune_negative(h):
+        if pruned(h):
             assert curvature_report(h.graph).min_curvature <= 0
             checked += 1
 

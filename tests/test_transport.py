@@ -42,7 +42,6 @@ def test_measure_validation():
 
 def test_measure_equality_ignores_zero_entries():
     assert Measure({0: 1, 1: 0}) == Measure({0: F(2, 2)})
-    assert hash(Measure({0: 1, 1: 0})) == hash(Measure({0: 1}))
 
 
 def test_vertex_measure_values():
