@@ -10,8 +10,15 @@ Two independent routes to the same number:
   minimum is attained with values in [-2,2] because every vertex of
   N[x] u N[y] lies within distance 2 of x.
 
+Both routes are local: every distance they read lies between two
+vertices of N[x] u N[y], hence is at most 3, and comes from
+`Graph.distance` (neighbour bitmasks), so the cost of one edge does not
+depend on the size of the graph and no all-pairs table is ever built.
+
 Certificates (a Lipschitz function, or a coupling at some idleness) are
-checkable objects proving one-sided bounds.
+checkable objects proving one-sided bounds.  The Lipschitz checker also
+accepts extra vertices anywhere in the graph; for those pairs it runs a
+BFS that stops at depth |f(u) - f(v)|.
 """
 from __future__ import annotations
 
@@ -89,12 +96,17 @@ def _dual_search(
             c -= Fraction(1, dy)
         coeff[v] = c
     free = sorted(coeff, key=lambda v: (-abs(coeff[v]), v))
-    dist = g.dist
+    distance = g.distance
+    dist: dict[int, dict[int, int]] = {v: {} for v in free}
+    for i, u in enumerate(free):
+        for v in free[i + 1:]:
+            dist[u][v] = dist[v][u] = distance(u, v)
     lo = {}
     hi = {}
     for v in free:
-        lo[v] = max(-2, -dist[v][x], 1 - dist[v][y])
-        hi[v] = min(2, dist[v][x], 1 + dist[v][y])
+        dx_v, dy_v = distance(v, x), distance(v, y)
+        lo[v] = max(-2, -dx_v, 1 - dy_v)
+        hi[v] = min(2, dx_v, 1 + dy_v)
         if lo[v] > hi[v]:
             raise CurvatureError("empty Lipschitz domain")  # unreachable
 
@@ -211,7 +223,8 @@ def check_lipschitz_certificate(
     """Validate and evaluate: returns the certified upper bound Df(x)-Df(y).
 
     The function must cover N[x] u N[y]; extra vertices are allowed and
-    simply join the Lipschitz check (against full-graph distances).
+    simply join the Lipschitz check (against full-graph distances, each
+    searched no deeper than the gap in f it must cover).
     """
     x, y = require_edge(g, cert.edge)
     f = cert.f
@@ -229,10 +242,15 @@ def check_lipschitz_certificate(
     verts = sorted(f)
     for i, u in enumerate(verts):
         for v in verts[i + 1:]:
-            if abs(f[u] - f[v]) > g.dist[u][v]:
+            gap = abs(f[u] - f[v])
+            if gap < 2:
+                continue  # distinct vertices are at least 1 apart
+            # the search need not look deeper than the gap it must cover
+            d = g.distance(u, v, cap=gap)
+            if gap > d:
                 raise CurvatureError(
                     f"Lipschitz violation on pair ({u}, {v}): "
-                    f"|{f[u]} - {f[v]}| > dist {g.dist[u][v]}"
+                    f"|{f[u]} - {f[v]}| > dist {d}"
                 )
     lap_x = Fraction(sum(f[z] - f[x] for z in g.adj[x]), g.degree(x))
     lap_y = Fraction(sum(f[z] - f[y] for z in g.adj[y]), g.degree(y))

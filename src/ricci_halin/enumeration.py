@@ -105,11 +105,11 @@ def _family_templates(n: int) -> dict[bytes, FamilyLabel]:
     return out
 
 
-def recognize_family(h: HalinGraph) -> FamilyLabel:
-    """Match against the three wheel templates; anything else is sporadic
-    (index assigned only within a classification run)."""
-    cert = canonical_form(h.graph)
-    return _family_templates(h.n).get(cert, FamilyLabel("sporadic", None))
+def recognize_family(n: int, form: bytes) -> FamilyLabel:
+    """Match the canonical form of a graph on n vertices against the three
+    wheel templates; anything else is sporadic (index assigned only within
+    a classification run)."""
+    return _family_templates(n).get(form, FamilyLabel("sporadic", None))
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def enumerate_halin(
             n=n,
             graph=canon,
             report=report,
-            family=recognize_family(h),
+            family=recognize_family(n, cert_bytes),
             halin=is_halin(canon),
             source_shape=shape,
         )

@@ -1,8 +1,12 @@
 """Immutable simple undirected graphs with shortest-path metrics.
 
 Vertices are the integers 0..n-1.  Graphs are connected by construction
-and never mutated afterwards, so adjacency and the all-pairs distance
-table (computed on first use) can be shared freely across workers.
+and never mutated afterwards, so adjacency can be shared freely across
+workers.  `Graph.distance` answers one pair at a time: distances up to 3
+(all that curvature ever needs) come from neighbour bitmasks, farther
+pairs from a BFS, so no n-by-n table is needed.  The all-pairs table
+`Graph.dist` is kept as an independent reference for tests; the package
+itself never builds it.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ class Graph:
     Attributes:
       n:    number of vertices.
       adj:  adj[v] is the sorted tuple of neighbors of v.
-      dist: dist[u][v] is the shortest-path distance (hop count).
+      dist: dist[u][v] is the shortest-path distance (hop count), an
+            n-by-n table built on first read; `distance` needs no table.
     """
 
     __slots__ = ("n", "adj", "_masks", "_dist")
@@ -90,6 +95,51 @@ class Graph:
             self._dist = tuple(table)
         return self._dist
 
+    def distance(self, u: int, v: int, cap: int | None = None) -> int:
+        """Shortest-path hop count from u to v.
+
+        Distances 0 to 3 are read off the neighbour bitmasks; farther
+        pairs fall back to a BFS.  With `cap`, the BFS stops at that
+        depth and min(distance, cap) is returned.
+        """
+        if u == v:
+            return 0
+        masks = self._masks
+        mv = masks[v]
+        if mv >> u & 1:
+            d = 1
+        elif masks[u] & mv:
+            d = 2
+        else:
+            for w in self.adj[u]:
+                if masks[w] & mv:
+                    d = 3
+                    break
+            else:
+                d = self._bfs_distance(u, v, cap)
+        return d if cap is None or d < cap else cap
+
+    def _bfs_distance(self, u: int, v: int, cap: int | None) -> int:
+        """Distance from u to v by BFS, or `cap` if v lies deeper."""
+        adj = self.adj
+        seen = {u}
+        frontier = [u]
+        depth = 0
+        while frontier and (cap is None or depth < cap):
+            depth += 1
+            nxt = []
+            for a in frontier:
+                for w in adj[a]:
+                    if w == v:
+                        return depth
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        if cap is None:
+            raise GraphError(f"no path from {u} to {v}")
+        return cap
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -108,9 +158,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(len(a) for a in self.adj)
-
-    def diameter(self) -> int:
-        return max(max(row) for row in self.dist)
 
     def __eq__(self, other) -> bool:
         return (

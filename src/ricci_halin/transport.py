@@ -1,15 +1,19 @@
 """Exact optimal transport between probability measures on graph vertices.
 
-Costs are shortest-path distances and all masses are `fractions.Fraction`,
-so Wasserstein distances come out as exact rationals.  The solver strips
-the common mass (kept in place, which is optimal for metric costs), scales
-the residual problem to integers by the common denominator, and runs
-successive shortest augmenting paths on the bipartite supply/demand
-network.
+Costs are shortest-path distances, read pair by pair from
+`Graph.distance`, and all masses are `fractions.Fraction`, so Wasserstein
+distances come out as exact rationals.  The solver strips the common mass
+(kept in place, which is optimal for metric costs), scales the residual
+problem to integers by the common denominator, and solves it on the
+bipartite supply/demand network by primal-dual phases: one shortest-path
+pass per phase, then flow pushed along every tight path of the phase's
+length.  For the lazy measures of an edge the residual costs lie in
+{1, 2, 3}, so there are at most three phases.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -103,78 +107,123 @@ def _check_vertices(g: Graph, mu: Measure) -> None:
 
 def _min_cost_flow(
     cost: list[list[int]], supply: list[int], demand: list[int]
-) -> tuple[int, list[list[int]]]:
-    """Exact transportation problem via successive shortest paths.
+) -> tuple[int, list[dict[int, int]]]:
+    """Exact transportation problem by primal-dual phases.
 
-    Bellman-Ford handles the negative residual arcs; with zero initial
-    flow and shortest-path augmentations no negative cycle ever appears.
+    Returns the optimal cost and the flow, as carried[j][i] = units that
+    supply i sends to demand j.  Each phase labels the nodes with their
+    shortest residual distance d from the supplies that still have mass
+    (Dijkstra on costs reduced by the previous phase's labels, which keeps
+    every residual arc non-negative), then pushes flow along tight arcs,
+    d[a] + cost == d[b], until no tight path reaches an unmet demand at
+    the phase's distance D.  Every pushed path costs exactly D.  Costs are
+    positive integers, so D grows by at least 1 per phase: there are at
+    most max(cost) phases, and at most 3 for the lazy measures of an edge.
     """
     ns, nd = len(supply), len(demand)
-    flow = [[0] * nd for _ in range(ns)]
+    carried: list[dict[int, int]] = [{} for _ in range(nd)]
     rem_s = list(supply)
     rem_d = list(demand)
     remaining = sum(supply)
     total_cost = 0
+    inf = float("inf")
+    # node a < ns is supply a; node ns + j is demand j
+    pot = [0] * (ns + nd)
     while remaining > 0:
-        dist: list[int | None] = [None] * (ns + nd)
-        prev = [-1] * (ns + nd)
-        for i in range(ns):
-            if rem_s[i] > 0:
-                dist[i] = 0
-        for _ in range(ns + nd):
-            changed = False
-            for i in range(ns):
-                di = dist[i]
-                if di is None:
-                    continue
-                ci = cost[i]
-                for j in range(nd):
-                    nj = ns + j
-                    alt = di + ci[j]
-                    if dist[nj] is None or alt < dist[nj]:
-                        dist[nj] = alt
-                        prev[nj] = i
-                        changed = True
-            for j in range(nd):
-                dj = dist[ns + j]
-                if dj is None:
-                    continue
-                for i in range(ns):
-                    if flow[i][j] > 0:
-                        alt = dj - cost[i][j]
-                        if dist[i] is None or alt < dist[i]:
-                            dist[i] = alt
-                            prev[i] = ns + j
-                            changed = True
-            if not changed:
-                break
-        best = None
-        for j in range(nd):
-            if rem_d[j] > 0 and dist[ns + j] is not None:
-                if best is None or dist[ns + j] < dist[ns + best]:
-                    best = j
-        if best is None:
-            raise TransportError("infeasible transport instance")
-        # walk back to the seeding supply, collecting the path
-        path = []
-        node = ns + best
-        while prev[node] != -1:
-            path.append((prev[node], node))
-            node = prev[node]
-        theta = min(rem_s[node], rem_d[best])
-        for a, b in path:
-            if a >= ns:  # backward arc demand->supply
-                theta = min(theta, flow[b][a - ns])
-        for a, b in path:
+        red = [inf] * (ns + nd)
+        heap = [(0, i) for i in range(ns) if rem_s[i] > 0]
+        for _, i in heap:
+            red[i] = 0
+        done = bytearray(ns + nd)
+        while heap:
+            k, a = heappop(heap)
+            if done[a]:
+                continue
+            done[a] = 1
+            base = k + pot[a]
             if a < ns:
-                flow[a][b - ns] += theta
+                row = cost[a]
+                for j in range(nd):
+                    b = ns + j
+                    alt = base + row[j] - pot[b]
+                    if alt < red[b]:
+                        red[b] = alt
+                        heappush(heap, (alt, b))
             else:
-                flow[b][a - ns] -= theta
-        rem_s[node] -= theta
-        rem_d[best] -= theta
-        remaining -= theta
-        total_cost += theta * dist[ns + best]
-    return total_cost, flow
+                j = a - ns
+                for i in carried[j]:
+                    alt = base - cost[i][j] - pot[i]
+                    if alt < red[i]:
+                        red[i] = alt
+                        heappush(heap, (alt, i))
+        d = [r + p for r, p in zip(red, pot)]
+        reach = min(
+            (d[ns + j] for j in range(nd) if rem_d[j] > 0), default=inf
+        )
+        if reach == inf:
+            raise TransportError("infeasible transport instance")
+        pot = d
+        # tight forward arcs; a flow-carrying arc is tight in both directions
+        tight: list[list[int]] = [[] for _ in range(ns)]
+        tight_in: list[list[int]] = [[] for _ in range(nd)]
+        for i in range(ns):
+            di = d[i]
+            row = cost[i]
+            for j in range(nd):
+                if di + row[j] == d[ns + j]:
+                    tight[i].append(j)
+                    tight_in[j].append(i)
+        while True:
+            prev = [-1] * (ns + nd)
+            seen = bytearray(ns + nd)
+            stack = [i for i in range(ns) if rem_s[i] > 0]
+            for i in stack:
+                seen[i] = 1
+            sink = -1
+            while stack and sink < 0:
+                a = stack.pop()
+                if a < ns:
+                    for j in tight[a]:
+                        b = ns + j
+                        if not seen[b]:
+                            seen[b] = 1
+                            prev[b] = a
+                            if rem_d[j] > 0 and d[b] == reach:
+                                sink = b
+                                break
+                            stack.append(b)
+                else:
+                    flows = carried[a - ns]
+                    for i in tight_in[a - ns]:
+                        if not seen[i] and flows.get(i):
+                            seen[i] = 1
+                            prev[i] = a
+                            stack.append(i)
+            if sink < 0:
+                break
+            path = []
+            root = sink
+            while prev[root] >= 0:
+                path.append((prev[root], root))
+                root = prev[root]
+            theta = min(rem_s[root], rem_d[sink - ns])
+            for a, b in path:
+                if a >= ns:  # backward arc demand -> supply
+                    theta = min(theta, carried[a - ns][b])
+            for a, b in path:
+                if a < ns:
+                    flows = carried[b - ns]
+                    flows[a] = flows.get(a, 0) + theta
+                else:
+                    flows = carried[a - ns]
+                    flows[b] -= theta
+                    if not flows[b]:
+                        del flows[b]
+            rem_s[root] -= theta
+            rem_d[sink - ns] -= theta
+            remaining -= theta
+            total_cost += theta * reach
+    return total_cost, carried
 
 
 def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
@@ -202,12 +251,12 @@ def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
     targets = sorted(res_d)
     supply = [int(res_s[u] * scale) for u in sources]
     demand = [int(res_d[v] * scale) for v in targets]
-    cost = [[g.dist[u][v] for v in targets] for u in sources]
-    total, flow = _min_cost_flow(cost, supply, demand)
-    for i, u in enumerate(sources):
-        for j, v in enumerate(targets):
-            if flow[i][j]:
-                plan.append((u, v, Fraction(flow[i][j], scale)))
+    distance = g.distance
+    cost = [[distance(u, v) for v in targets] for u in sources]
+    total, carried = _min_cost_flow(cost, supply, demand)
+    for j, flows in enumerate(carried):
+        for i, amount in flows.items():
+            plan.append((sources[i], targets[j], Fraction(amount, scale)))
     return TransportResult(Fraction(total, scale), tuple(sorted(plan)))
 
 
@@ -218,7 +267,7 @@ def coupling_cost(g: Graph, plan: Iterable[CouplingEntry]) -> Fraction:
             raise TransportError(f"coupling touches missing vertex ({u}, {v})")
         if m < 0:
             raise TransportError(f"negative coupling mass at ({u}, {v})")
-        total += m * g.dist[u][v]
+        total += m * g.distance(u, v)
     return total
 
 

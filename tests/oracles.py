@@ -67,24 +67,38 @@ def wasserstein_exhaustive(g: Graph, mu: Measure, nu: Measure) -> Fraction:
     return Fraction(best[0], scale)
 
 
-def wasserstein_network_simplex(g: Graph, mu: Measure, nu: Measure) -> Fraction:
-    """Minimum transport cost via networkx's network simplex."""
+def transportation_network_simplex(
+    cost: list[list[int]], supply: list[int], demand: list[int]
+) -> int:
+    """Minimum cost of an integer transportation problem via networkx's
+    network simplex; cost[i][j] is the unit cost from supply i to demand j."""
     import networkx as nx
 
+    net = nx.DiGraph()
+    for i, s in enumerate(supply):
+        net.add_node(("s", i), demand=-s)
+    for j, d in enumerate(demand):
+        net.add_node(("t", j), demand=d)
+    for i, row in enumerate(cost):
+        for j, c in enumerate(row):
+            net.add_edge(("s", i), ("t", j), weight=c)
+    total, _flow = nx.network_simplex(net)
+    return total
+
+
+def wasserstein_network_simplex(g: Graph, mu: Measure, nu: Measure) -> Fraction:
+    """Minimum transport cost via networkx's network simplex."""
     scale = lcm(
         *(m.denominator for _, m in mu.items()),
         *(m.denominator for _, m in nu.items()),
     )
-    net = nx.DiGraph()
-    for v, m in mu.items():
-        net.add_node(("s", v), demand=-int(m * scale))
-    for v, m in nu.items():
-        net.add_node(("t", v), demand=int(m * scale))
-    for u, _ in mu.items():
-        for v, _ in nu.items():
-            net.add_edge(("s", u), ("t", v), weight=g.dist[u][v])
-    cost, _flow = nx.network_simplex(net)
-    return Fraction(cost, scale)
+    sources, targets = mu.support(), nu.support()
+    cost = [[g.dist[u][v] for v in targets] for u in sources]
+    supply = [int(mu[u] * scale) for u in sources]
+    demand = [int(nu[v] * scale) for v in targets]
+    return Fraction(
+        transportation_network_simplex(cost, supply, demand), scale
+    )
 
 
 def dual_exhaustive(g: Graph, e, value_bound: int = 2) -> Fraction:

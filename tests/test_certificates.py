@@ -21,8 +21,10 @@ from ricci_halin.curvature import (
     coupling_certificate,
     critical_alpha,
     kappa_lly,
+    kappa_lly_dual,
     lipschitz_certificate,
 )
+from ricci_halin.graph import Graph
 from ricci_halin.halin import wheel, wheel_sub1
 from ricci_halin.transport import vertex_measure
 
@@ -145,6 +147,32 @@ def test_lipschitz_violation_names_the_offending_pair():
     f[3] += 3
     with pytest.raises(CurvatureError, match=r"pair \(\d+, \d+\)"):
         check_lipschitz_certificate(g, LipschitzCertificate((1, 2), f))
+
+
+def cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_one_edge_of_a_long_cycle_needs_no_distance_table():
+    g = cycle(4000)
+    e = (0, 1)
+    assert kappa_lly(g, e) == 0
+    assert kappa_lly_dual(g, e) == 0
+    assert check_coupling_certificate(g, coupling_certificate(g, e)) == 0
+    assert check_lipschitz_certificate(g, lipschitz_certificate(g, e)) == 0
+    assert g._dist is None
+
+
+def test_lipschitz_check_of_far_extra_vertices():
+    # extra vertices 100 and 104 lie far from the edge and 4 apart
+    g = cycle(4000)
+    f = dict(lipschitz_certificate(g, (0, 1)).f)
+    f[100], f[104] = 0, 5
+    with pytest.raises(CurvatureError, match=r"\(100, 104\).*dist 4"):
+        check_lipschitz_certificate(g, LipschitzCertificate((0, 1), f))
+    f[104] = 4
+    assert check_lipschitz_certificate(g, LipschitzCertificate((0, 1), f)) == 0
+    assert g._dist is None
 
 
 def test_lipschitz_certificate_must_cover_both_neighborhoods():

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_halin.curvature import (
+    DEFAULT_ORACLE_THRESHOLD,
     CurvatureError,
     OracleInfeasibleError,
     c3c4_upper_bound,
@@ -107,6 +110,18 @@ def test_primal_equals_dual_on_random_graphs():
         g = random_connected_graph(rng, rng.randint(3, 8), rng.randint(0, 8))
         for e in g.edges():
             assert kappa_lly(g, e) == kappa_lly_dual(g, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_primal_equals_dual_property(data):
+    n = data.draw(st.integers(min_value=2, max_value=10))
+    seed = data.draw(st.integers(min_value=0, max_value=2**20))
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+    for x, y in g.edges():
+        if g.degree(x) + g.degree(y) <= DEFAULT_ORACLE_THRESHOLD:
+            assert kappa_lly(g, (x, y)) == kappa_lly_dual(g, (x, y))
 
 
 def test_dual_matches_brute_force_enumeration():

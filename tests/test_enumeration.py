@@ -69,15 +69,18 @@ def test_family_label_formatting():
 
 
 def test_recognize_family_is_labeling_invariant():
+    def family(h):
+        return recognize_family(h.n, canonical_form(h.graph))
+
     # the 5-wheel grown from a degree-1 root instead of the hub
     h = build_halin(PlaneTree.from_shape((((), (), ()),)))
-    assert recognize_family(h) == FamilyLabel("W", 5)
+    assert family(h) == FamilyLabel("W", 5)
     # a doubly subdivided 8-wheel with the subdivisions moved one spoke over
     rotated = build_halin(PlaneTree.from_shape(((), ((),), (), ((),), ())))
-    assert recognize_family(rotated) == FamilyLabel("W2", 8)
+    assert family(rotated) == FamilyLabel("W2", 8)
     assert canonical_form(rotated.graph) == canonical_form(wheel_sub2(8).graph)
     prism = build_halin(PlaneTree.from_shape(((), (), ((), ()))))
-    assert recognize_family(prism) == FamilyLabel("sporadic", None)
+    assert family(prism) == FamilyLabel("sporadic", None)
 
 
 def test_single_class_at_four_vertices():

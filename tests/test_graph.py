@@ -87,7 +87,6 @@ def test_distances_on_cycle():
     g = cycle(6)
     assert g.dist[0][3] == 3
     assert g.dist[1][5] == 2
-    assert g.diameter() == 3
 
 
 def test_neighbor_mask_matches_adjacency():
@@ -115,6 +114,32 @@ def test_distances_match_networkx_on_random_graphs():
         for u in range(g.n):
             for v in range(g.n):
                 assert g.dist[u][v] == lengths[u][v]
+
+
+def test_distance_matches_table_on_random_graphs():
+    # sparse graphs on up to 30 vertices have pairs far beyond the
+    # bitmask range, so the BFS fallback and its cap are exercised too
+    rng = random.Random(8128)
+    longest = 0
+    for _ in range(30):
+        n = rng.randint(2, 30)
+        g = random_connected_graph(rng, n, rng.randint(0, n))
+        for u in range(g.n):
+            for v in range(g.n):
+                d = g.dist[u][v]
+                assert g.distance(u, v) == d
+                cap = rng.randint(1, 6)
+                assert g.distance(u, v, cap=cap) == min(d, cap)
+                longest = max(longest, d)
+    assert longest > 3
+
+
+def test_distance_builds_no_table():
+    g = cycle(4000)
+    assert g.distance(0, 2000) == 2000
+    assert g.distance(0, 3997) == 3
+    assert g.distance(10, 20, cap=4) == 4
+    assert g._dist is None
 
 
 def test_require_edge_accepts_and_rejects():

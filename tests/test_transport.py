@@ -9,6 +9,7 @@ from ricci_halin.halin import wheel
 from ricci_halin.transport import (
     Measure,
     TransportError,
+    _min_cost_flow,
     check_coupling,
     coupling_cost,
     vertex_measure,
@@ -18,6 +19,7 @@ from ricci_halin.transport import (
 from oracles import (
     random_connected_graph,
     random_measure,
+    transportation_network_simplex,
     wasserstein_exhaustive,
     wasserstein_network_simplex,
 )
@@ -119,6 +121,89 @@ def test_wasserstein_matches_network_simplex():
         assert wasserstein(g, mu, nu).cost == wasserstein_network_simplex(
             g, mu, nu
         )
+
+
+def test_kernel_prices_backward_arcs_from_far_demands():
+    # a demand filled in an early phase can lie beyond a later phase's
+    # distance; cutting the potentials there at that distance would give
+    # a backward arc a negative reduced cost, and the kernel 46 here
+    cost = [
+        [6, 7, 8, 6, 8, 4, 4, 6],
+        [2, 2, 7, 3, 3, 4, 6, 3],
+        [2, 5, 7, 5, 8, 7, 1, 3],
+        [5, 8, 6, 5, 4, 9, 2, 7],
+        [9, 9, 8, 6, 3, 8, 6, 7],
+        [8, 4, 8, 3, 8, 6, 3, 6],
+    ]
+    supply = [1, 2, 6, 1, 1, 1]
+    demand = [1, 1, 1, 2, 2, 3, 1, 1]
+    assert transportation_network_simplex(cost, supply, demand) == 45
+    assert _min_cost_flow(cost, supply, demand)[0] == 45
+
+
+def test_kernel_matches_network_simplex_on_random_costs():
+    # costs up to 9 make many phases and reroute flow along backward arcs
+    rng = random.Random(97)
+    for _ in range(600):
+        ns, nd = rng.randint(1, 8), rng.randint(1, 8)
+        cost = [[rng.randint(1, 9) for _ in range(nd)] for _ in range(ns)]
+        supply = [rng.randint(1, 9) for _ in range(ns)]
+        demand = [rng.randint(1, 9) for _ in range(nd)]
+        excess = sum(supply) - sum(demand)
+        if excess > 0:
+            demand[-1] += excess
+        else:
+            supply[-1] -= excess
+        total, carried = _min_cost_flow(cost, supply, demand)
+        assert total == transportation_network_simplex(cost, supply, demand)
+        shipped = [0] * ns
+        for j, flows in enumerate(carried):
+            assert sum(flows.values()) == demand[j]
+            for i, amount in flows.items():
+                assert amount > 0
+                shipped[i] += amount
+        assert shipped == supply
+        assert total == sum(
+            cost[i][j] * amount
+            for j, flows in enumerate(carried)
+            for i, amount in flows.items()
+        )
+
+
+def test_wasserstein_matches_network_simplex_on_wide_supports():
+    # sparse graphs spread the costs well beyond {1, 2, 3}, so the
+    # kernel runs many phases with flow rerouted along backward arcs
+    rng = random.Random(2468)
+    for _ in range(60):
+        n = rng.randint(12, 30)
+        g = random_connected_graph(rng, n, rng.randint(0, n // 2))
+        mu = random_measure(rng, g, 10, 30)
+        nu = random_measure(rng, g, 10, 30)
+        r = wasserstein(g, mu, nu)
+        assert r.cost == wasserstein_network_simplex(g, mu, nu)
+        assert check_coupling(g, mu, nu, r.plan) == r.cost
+
+
+def test_wasserstein_matches_network_simplex_on_dense_lazy_measures():
+    # edges of dense random graphs: once the common mass is stripped, the
+    # residual problems have well over 10 x 10 supply/demand pairs
+    rng = random.Random(5050)
+    largest = 0
+    for _ in range(4):
+        n = rng.randint(30, 40)
+        g = random_connected_graph(rng, n, n * (n - 1) // 4)
+        for x, y in rng.sample(g.edges(), 8):
+            alpha = F(1, max(g.degree(x), g.degree(y)) + 1)
+            mu = vertex_measure(g, x, alpha)
+            nu = vertex_measure(g, y, alpha)
+            keys = set(mu.support()) | set(nu.support())
+            sources = sum(1 for v in keys if mu[v] > nu[v])
+            targets = sum(1 for v in keys if nu[v] > mu[v])
+            largest = max(largest, min(sources, targets))
+            r = wasserstein(g, mu, nu)
+            assert r.cost == wasserstein_network_simplex(g, mu, nu)
+            assert check_coupling(g, mu, nu, r.plan) == r.cost
+    assert largest > 10
 
 
 def test_wasserstein_symmetry_and_triangle_inequality():
