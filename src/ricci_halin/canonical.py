@@ -13,7 +13,7 @@ used for here (a few dozen vertices, little symmetry beyond wheels).
 """
 from __future__ import annotations
 
-from .formats import from_graph6, pack_graph6
+from .formats import from_graph6, pack_graph6, upper_triangle_bits
 from .graph import Graph
 
 
@@ -43,24 +43,13 @@ def _refine(
     return cells
 
 
-def _certificate(masks: list[int], order: list[int]) -> int:
-    # Upper-triangle bits of the relabeled graph in graph6 column order,
-    # x(0,1) most significant.
-    bits = 0
-    for j in range(1, len(order)):
-        mj = masks[order[j]]
-        for i in range(j):
-            bits = (bits << 1) | ((mj >> order[i]) & 1)
-    return bits
-
-
 def _search(masks: list[int], cells: list[list[int]], best: list[int | None]) -> None:
     target = None
     for idx, cell in enumerate(cells):
         if len(cell) > 1 and (target is None or len(cell) < len(cells[target])):
             target = idx
     if target is None:
-        cert = _certificate(masks, [cell[0] for cell in cells])
+        cert = upper_triangle_bits(masks, [cell[0] for cell in cells])
         if best[0] is None or cert < best[0]:
             best[0] = cert
         return

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 
@@ -69,18 +68,6 @@ def _write_output(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("RICCI_HALIN_WORKERS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(
-                f"RICCI_HALIN_WORKERS must be an integer, got {env!r}"
-            ) from None
-    return 1
 
 
 def _cmd_gen(args) -> int:
@@ -152,7 +139,7 @@ def _counts_line(counts: dict[str, int]) -> str:
 
 def _cmd_enum(args) -> int:
     result = enumerate_halin(
-        args.n_max, use_pruning=not args.no_prune, workers=_workers(args)
+        args.n_max, use_pruning=not args.no_prune, workers=args.workers
     )
     if args.halin_only:
         classes = result.halin_classes()
@@ -183,7 +170,7 @@ def _cmd_verify(args) -> int:
     if args.n_max < 12:
         print("n_max must be >= 12", file=sys.stderr)
         return 1
-    report = verify_theorem(args.n_max, workers=_workers(args))
+    report = verify_theorem(args.n_max, workers=args.workers)
     for line in report.lines():
         print(line)
     print(_counts_line(report.result.counts))
@@ -252,7 +239,7 @@ def _build_parser() -> _Parser:
     p_enum.add_argument("--n-max", type=int, required=True)
     p_enum.add_argument("--no-prune", action="store_true")
     p_enum.add_argument("--halin-only", action="store_true")
-    p_enum.add_argument("--workers", type=int)
+    p_enum.add_argument("--workers", type=int, default=1)
     p_enum.add_argument("--output")
     p_enum.set_defaults(func=_cmd_enum)
 
@@ -260,7 +247,7 @@ def _build_parser() -> _Parser:
         "verify", help="verify the positive-curvature classification"
     )
     p_verify.add_argument("n_max", nargs="?", type=int, default=13)
-    p_verify.add_argument("--workers", type=int)
+    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_cert = sub.add_parser("cert", help="check a curvature certificate")

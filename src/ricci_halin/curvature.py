@@ -190,9 +190,9 @@ def coupling_certificate(
 
 def c3c4_upper_bound(g: Graph, e: Sequence[int]) -> Fraction | None:
     """Degree bound on curvature, available only off triangles and C4s."""
-    x, y = require_edge(g, e)
-    if edge_in_c3_or_c4(g, e):
+    if edge_in_c3_or_c4(g, e):  # raises GraphError unless e is an edge
         return None
+    x, y = e
     dx, dy = g.degree(x), g.degree(y)
     return min(
         Fraction(1, dx) + Fraction(2, dy) - 1,

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .canonical import canonical_certificate, canonical_form
 from .curvature import CurvatureReport, c3c4_upper_bound, curvature_report
-from .formats import from_graph6
+from .formats import from_graph6, pack_graph6
 from .graph import Graph
 from .halin import (
     HalinGraph,
@@ -67,15 +67,6 @@ def shape_max_degree(shape: Shape) -> int:
             best = d
         stack.extend(sub)
     return best
-
-
-def rooted_plane_trees(n: int) -> Iterator[PlaneTree]:
-    """Stream of all rooted ordered trees on n vertices with max degree >= 3."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    for shape in ordered_tree_shapes(n):
-        if shape_max_degree(shape) >= 3:
-            yield PlaneTree.from_shape(shape)
 
 
 @dataclass(frozen=True)
@@ -193,7 +184,7 @@ def _classify_chunk(
             continue
         generated += 1
         t = PlaneTree.from_shape(shape)
-        tree_e, cycle_e, _ = halin_edges(t)
+        tree_e, cycle_e = halin_edges(t)
         g = Graph(t.n, tree_e + cycle_e)
         if use_pruning and prune_negative(t, g):
             pruned += 1
@@ -249,9 +240,9 @@ def enumerate_halin(
 
     positives: list[ClassEntry] = []
     zeros: list[ClassEntry] = []
-    for (n, _cert), shape in sorted(survivors.items()):
-        h = build_halin(PlaneTree.from_shape(shape))
-        cert_bytes = canonical_form(h.graph)
+    for (n, cert), shape in sorted(survivors.items()):
+        # the key's certificate is the class's canonical form, unpacked
+        cert_bytes = pack_graph6(n, cert, n * (n - 1) // 2)
         canon = from_graph6(cert_bytes)
         report = curvature_report(canon)
         if report.min_curvature < 0:

@@ -9,6 +9,8 @@ header is accepted on input and omitted on output.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graph import Graph, GraphError, normalize_edge
 
 GRAPH6_HEADER = b">>graph6<<"
@@ -41,14 +43,21 @@ def pack_graph6(n: int, bits: int, nbits: int) -> bytes:
     return _graph6_size_prefix(n) + body
 
 
-def to_graph6(g: Graph) -> bytes:
-    nbits = g.n * (g.n - 1) // 2
+def upper_triangle_bits(masks: Sequence[int], order: Sequence[int]) -> int:
+    """Upper-triangle adjacency bits of the graph relabeled by `order`
+    (new vertex i is old vertex order[i]), in graph6 column order with
+    x(0,1) most significant; `masks` are the old neighbour bitmasks."""
     bits = 0
-    for j in range(1, g.n):
-        mask = g.neighbor_mask(j)
+    for j in range(1, len(order)):
+        mj = masks[order[j]]
         for i in range(j):
-            bits = (bits << 1) | ((mask >> i) & 1)
-    return pack_graph6(g.n, bits, nbits)
+            bits = (bits << 1) | ((mj >> order[i]) & 1)
+    return bits
+
+
+def to_graph6(g: Graph) -> bytes:
+    bits = upper_triangle_bits(g._masks, range(g.n))
+    return pack_graph6(g.n, bits, g.n * (g.n - 1) // 2)
 
 
 def from_graph6(data: bytes | str) -> Graph:

@@ -3,9 +3,13 @@
 A plane tree here is a rooted tree with an ordered child list per vertex
 (the planar embedding).  Joining its leaves by a cycle in contour order
 (depth-first, children left to right; a degree-1 root is itself a leaf
-and comes first) produces a generalized Halin graph.  The module also
-builds the three wheel families and evaluates the structural predicates
-that certify non-positive curvature from the tree layout alone.
+and comes first) produces a generalized Halin graph.  A `PlaneTree`
+walks its contour once, when it is built, and keeps the leaves in that
+order (`leaves`) and its smallest vertex of maximum degree (`hub`); the
+builders and the layout predicates read those two fields.  The module
+also builds the three wheel families and evaluates the structural
+predicates that certify non-positive curvature from the tree layout
+alone.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ class HalinError(ValueError):
 class PlaneTree:
     """Rooted ordered tree on vertices 0..n-1 with root 0."""
 
-    __slots__ = ("n", "children", "parent")
+    __slots__ = ("n", "children", "parent", "leaves", "hub")
 
     def __init__(self, children: Sequence[Sequence[int]]):
         self.n = len(children)
@@ -41,16 +45,27 @@ class PlaneTree:
                 seen += 1
         if seen != self.n - 1:
             raise HalinError("child lists do not form a tree rooted at 0")
-        # reachability from the root ensures a single connected tree
+        # one preorder walk from the root (children left to right) checks
+        # connectivity and records the contour leaves and the hub
+        leaves = []
+        hub, top = 0, -1
         stack = [0]
-        reached = 1
+        reached = 0
         while stack:
             v = stack.pop()
-            stack.extend(self.children[v])
-            reached += len(self.children[v])
+            reached += 1
+            kids = self.children[v]
+            d = len(kids) + (v != 0)
+            if d == 1:
+                leaves.append(v)
+            if d > top or (d == top and v < hub):
+                hub, top = v, d
+            stack.extend(reversed(kids))
         if reached != self.n:
             raise HalinError("tree is not connected")
         self.parent = tuple(parent)
+        self.leaves = tuple(leaves)
+        self.hub = hub
         if self.n < 4:
             raise HalinError(f"need at least 4 vertices, got {self.n}")
         if self.max_degree() < 3:
@@ -75,25 +90,10 @@ class PlaneTree:
         return len(self.children[v]) + (1 if v != 0 else 0)
 
     def max_degree(self) -> int:
-        return max(self.tree_degree(v) for v in range(self.n))
+        return self.tree_degree(self.hub)
 
     def is_leaf(self, v: int) -> bool:
         return self.tree_degree(v) == 1
-
-    def contour_leaves(self) -> tuple[int, ...]:
-        """Leaves in the cyclic order traced by the embedding's outer face.
-
-        Depth-first preorder with children left to right; a degree-1 root
-        is the first leaf met on the contour.
-        """
-        out = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            if self.tree_degree(v) == 1:
-                out.append(v)
-            stack.extend(reversed(self.children[v]))
-        return tuple(out)
 
     def tree_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -109,8 +109,6 @@ class HalinGraph:
     """A plane tree plus the cycle through its leaves."""
 
     graph: Graph
-    tree_edges: tuple[tuple[int, int], ...]
-    leaf_order: tuple[int, ...]
     source_tree: PlaneTree
 
     @property
@@ -120,24 +118,24 @@ class HalinGraph:
 
 def halin_edges(
     t: PlaneTree,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """(tree edges, cycle edges, leaf order) without building the Graph."""
-    leaves = t.contour_leaves()
-    assert len(leaves) >= 3, "max degree >= 3 forces at least 3 leaves"
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """(tree edges, cycle edges) without building the Graph."""
+    leaves = t.leaves
     k = len(leaves)
+    assert k >= 3, "max degree >= 3 forces at least 3 leaves"
     cycle = tuple(
         normalize_edge(leaves[i], leaves[(i + 1) % k]) for i in range(k)
     )
-    return t.tree_edges(), cycle, leaves
+    return t.tree_edges(), cycle
 
 
 def build_halin(t: PlaneTree) -> HalinGraph:
-    tree_e, cycle_e, leaves = halin_edges(t)
+    tree_e, cycle_e = halin_edges(t)
     g = Graph(t.n, tree_e + cycle_e)
-    for v in leaves:
+    for v in t.leaves:
         assert g.degree(v) == 3
-    assert g.num_edges() == t.n - 1 + len(leaves)
-    return HalinGraph(g, tree_e, leaves, t)
+    assert g.num_edges() == t.n - 1 + len(t.leaves)
+    return HalinGraph(g, t)
 
 
 def wheel(n: int) -> HalinGraph:
@@ -179,14 +177,11 @@ class ComponentProfile:
 
     hub: int
     components: tuple[tuple[int, ...], ...]
-    component_of: dict[int, int]
     tree_dist: tuple[int, ...]
-    leaf_order: tuple[int, ...]
 
 
 def tree_profile(t: PlaneTree) -> ComponentProfile:
-    dmax = t.max_degree()
-    hub = min(v for v in range(t.n) if t.tree_degree(v) == dmax)
+    hub = t.hub
     # one walk from the hub: tree distance, and the branch id (the hub's
     # tree neighbour that leads to the vertex); the root's parent is -1
     dist = [-1] * t.n
@@ -200,7 +195,7 @@ def tree_profile(t: PlaneTree) -> ComponentProfile:
                 dist[w] = dist[v] + 1
                 branch[w] = w if v == hub else branch[v]
                 stack.append(w)
-    leaves = t.contour_leaves()
+    leaves = t.leaves
     # rotate so a component boundary sits at position 0, then cut into runs
     k = len(leaves)
     start = 0
@@ -215,16 +210,11 @@ def tree_profile(t: PlaneTree) -> ComponentProfile:
             components[-1].append(leaf)
         else:
             components.append([leaf])
-    assert len(components) == dmax, "each branch is one contiguous block"
-    component_of = {
-        leaf: idx for idx, comp in enumerate(components) for leaf in comp
-    }
+    assert len(components) == t.max_degree(), "each branch is one block"
     return ComponentProfile(
         hub=hub,
         components=tuple(tuple(c) for c in components),
-        component_of=component_of,
         tree_dist=tuple(dist),
-        leaf_order=leaves,
     )
 
 
@@ -238,15 +228,17 @@ def lemma32_violated(p: ComponentProfile) -> bool:
 
 
 def lemma33_violated(p: ComponentProfile) -> bool:
-    """A cycle edge crossing branches with tree-distance sum >= 5."""
-    k = len(p.leaf_order)
-    for i in range(k):
-        a = p.leaf_order[i]
-        b = p.leaf_order[(i + 1) % k]
-        if p.component_of[a] != p.component_of[b]:
-            if p.tree_dist[a] + p.tree_dist[b] >= 5:
-                return True
-    return False
+    """A cycle edge crossing branches with tree-distance sum >= 5.
+
+    The cycle edges that cross branches are exactly the joins of
+    cyclically consecutive components.
+    """
+    comps = p.components
+    dist = p.tree_dist
+    return any(
+        dist[comps[i - 1][-1]] + dist[comps[i][0]] >= 5
+        for i in range(len(comps))
+    )
 
 
 def is_halin(g: Graph) -> bool:

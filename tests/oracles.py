@@ -176,3 +176,46 @@ def random_measure(rng: random.Random, g: Graph, max_support: int, total: int) -
     return Measure(
         {v: Fraction(c, total) for v, c in zip(support, chips) if c}
     )
+
+
+def contour_leaves_by_recursion(children) -> tuple[int, ...]:
+    """Leaves of a plane tree (child lists, root 0) in contour order: a
+    recursive preorder, children left to right; a degree-1 root counts."""
+    out = []
+
+    def visit(v: int) -> None:
+        if len(children[v]) + (v != 0) == 1:
+            out.append(v)
+        for c in children[v]:
+            visit(c)
+
+    visit(0)
+    return tuple(out)
+
+
+def lemma33_by_leaf_order(children) -> bool:
+    """Lemma 3.3 by its definition: walk the cycle through the leaves in
+    contour order and test every cycle edge whose ends lie in different
+    branches at the hub (the smallest vertex of maximum tree degree)."""
+    n = len(children)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for v, kids in enumerate(children):
+        for c in kids:
+            adj[v].add(c)
+            adj[c].add(v)
+    hub = min(range(n), key=lambda v: (-len(adj[v]), v))
+    dist = {hub: 0}
+    branch = {hub: None}
+    queue = [hub]
+    for u in queue:
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                branch[w] = w if u == hub else branch[u]
+                queue.append(w)
+    leaves = contour_leaves_by_recursion(children)
+    k = len(leaves)
+    return any(
+        branch[a] != branch[b] and dist[a] + dist[b] >= 5
+        for a, b in ((leaves[i], leaves[(i + 1) % k]) for i in range(k))
+    )

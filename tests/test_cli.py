@@ -153,13 +153,11 @@ def test_enum_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_enum_workers_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("RICCI_HALIN_WORKERS", "2")
-    assert main(["enum", "--n-max", "5"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("RICCI_HALIN_WORKERS", "two")
-    assert main(["enum", "--n-max", "5"]) == 1
-    assert "RICCI_HALIN_WORKERS" in capsys.readouterr().err
+def test_enum_two_workers_match_one(capsys):
+    assert main(["enum", "--n-max", "5", "--workers", "1"]) == 0
+    one = capsys.readouterr().out
+    assert main(["enum", "--n-max", "5", "--workers", "2"]) == 0
+    assert capsys.readouterr().out == one
 
 
 def test_verify_full_run(capsys):

@@ -17,7 +17,7 @@ from ricci_halin.curvature import (
     kappa_lly,
     kappa_lly_dual,
 )
-from ricci_halin.graph import Graph
+from ricci_halin.graph import Graph, GraphError
 from ricci_halin.halin import wheel
 
 from oracles import dual_exhaustive, random_connected_graph, random_tree
@@ -178,6 +178,13 @@ def test_c3c4_bound_values():
     assert kappa_lly(p4, (1, 2)) == 0  # and strict here
     assert c3c4_upper_bound(cycle(5), (0, 1)) == F(1, 2)
     assert c3c4_upper_bound(PETERSEN, (0, 1)) == 0
+
+
+def test_c3c4_bound_rejects_a_non_edge():
+    with pytest.raises(GraphError, match=r"\(0,2\) is not an edge"):
+        c3c4_upper_bound(cycle(5), (0, 2))
+    with pytest.raises(GraphError, match="not an edge pair"):
+        c3c4_upper_bound(cycle(5), (0,))
 
 
 def test_c3c4_bound_dominates_curvature_on_random_trees():

@@ -18,7 +18,6 @@ from ricci_halin.enumeration import (
     enumerate_halin,
     ordered_tree_shapes,
     recognize_family,
-    rooted_plane_trees,
     shape_max_degree,
     verify_theorem,
 )
@@ -45,9 +44,13 @@ def test_shapes_are_distinct_and_degree_matches_tree():
             assert shape_max_degree(shape) == t.max_degree()
 
 
-def test_rooted_plane_trees_smallest_case():
+def test_smallest_plane_trees_build_k4():
     # the star, plus the star re-rooted at a leaf; paths are filtered out
-    trees = list(rooted_plane_trees(4))
+    trees = [
+        PlaneTree.from_shape(s)
+        for s in ordered_tree_shapes(4)
+        if shape_max_degree(s) >= 3
+    ]
     assert len(trees) == 2
     assert {t.children for t in trees} == {
         ((1, 2, 3), (), (), ()),
@@ -56,8 +59,6 @@ def test_rooted_plane_trees_smallest_case():
     k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     for t in trees:
         assert are_isomorphic(build_halin(t).graph, k4)
-    with pytest.raises(ValueError):
-        list(rooted_plane_trees(3))
 
 
 def test_family_label_formatting():

@@ -160,6 +160,13 @@ def test_c3c4_membership_hand_cases():
     assert not edge_in_c3_or_c4(star, (0, 1))
 
 
+def test_c3c4_membership_rejects_a_non_edge():
+    with pytest.raises(GraphError, match=r"\(1,3\) is not an edge"):
+        edge_in_c3_or_c4(cycle(5), (1, 3))
+    with pytest.raises(GraphError, match="not an edge pair"):
+        edge_in_c3_or_c4(cycle(5), 7)
+
+
 def test_c3c4_membership_matches_exhaustive_scan():
     rng = random.Random(99)
     for _ in range(150):

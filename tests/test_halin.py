@@ -5,7 +5,11 @@ import pytest
 
 from ricci_halin.canonical import are_isomorphic, canonical_form
 from ricci_halin.curvature import curvature_report
-from ricci_halin.enumeration import prune_negative
+from ricci_halin.enumeration import (
+    ordered_tree_shapes,
+    prune_negative,
+    shape_max_degree,
+)
 from ricci_halin.graph import Graph
 from ricci_halin.halin import (
     HalinError,
@@ -21,6 +25,8 @@ from ricci_halin.halin import (
     wheel_sub1,
     wheel_sub2,
 )
+
+from oracles import contour_leaves_by_recursion, lemma33_by_leaf_order
 
 
 def random_shape(rng, n):
@@ -61,14 +67,14 @@ def test_plane_tree_validation():
 
 def test_contour_order_is_depth_first():
     t = PlaneTree.from_shape(((), ((), ()), ()))
-    assert t.contour_leaves() == (1, 3, 4, 5)
+    assert t.leaves == (1, 3, 4, 5)
     assert t.tree_edges() == ((0, 1), (0, 2), (2, 3), (2, 4), (0, 5))
 
 
 def test_degree_one_root_leads_the_contour():
     t = PlaneTree.from_shape((((), (), ()),))
     assert t.is_leaf(0)
-    assert t.contour_leaves() == (0, 2, 3, 4)
+    assert t.leaves == (0, 2, 3, 4)
     # joining those leaves produces the 5-wheel with hub 1
     h = build_halin(t)
     assert are_isomorphic(h.graph, wheel(5).graph)
@@ -85,15 +91,26 @@ def test_profile_distances_walk_both_directions():
     assert sorted(len(c) for c in p.components) == [1, 1, 1, 1]
 
 
+def test_leaves_and_hub_when_ids_are_not_preorder():
+    # preorder visits 0, 5, 3, 2, 1, 4, 6; vertices 5 and 1 both have
+    # degree 3, and the hub is the smaller id, not the first one visited
+    t = PlaneTree(((5, 1), (4, 6), (), (), (), (3, 2), ()))
+    assert t.leaves == (3, 2, 4, 6)
+    assert t.hub == 1
+    assert t.max_degree() == 3
+    assert tree_profile(t).hub == 1
+
+
 def test_build_halin_structure():
     t = PlaneTree.from_shape(((), ((), ()), ()))
-    tree_e, cycle_e, leaves = halin_edges(t)
+    tree_e, cycle_e = halin_edges(t)
     h = build_halin(t)
-    assert h.leaf_order == (1, 3, 4, 5)
-    assert set(h.tree_edges) == set(tree_e)
+    assert h.source_tree is t
+    assert tree_e == t.tree_edges()
     assert cycle_e == ((1, 3), (3, 4), (4, 5), (1, 5))
+    assert set(h.graph.edges()) == set(tree_e) | set(cycle_e)
     assert h.graph.num_edges() == (t.n - 1) + 4
-    for v in leaves:
+    for v in t.leaves:
         assert h.graph.degree(v) == 3
 
 
@@ -109,7 +126,7 @@ def test_build_halin_invariants_on_random_trees():
         built += 1
         h = build_halin(t)
         leaves = [v for v in range(t.n) if t.is_leaf(v)]
-        assert sorted(h.leaf_order) == leaves
+        assert sorted(t.leaves) == leaves
         assert h.graph.num_edges() == t.n - 1 + len(leaves)
         for v in range(t.n):
             expected = t.tree_degree(v) + (2 if t.is_leaf(v) else 0)
@@ -185,8 +202,25 @@ def test_profile_groups_leaves_by_branch():
     assert p.hub == 0
     sizes = sorted(len(c) for c in p.components)
     assert sizes == [1, 1, 2, 2]
-    for comp in p.components:
-        assert len({p.component_of[v] for v in comp}) == 1
+    # each component is one whole branch: its leaves reach the hub through
+    # one hub neighbour, and no two components share that neighbour
+    branches = [{hub_neighbour_towards(t, p.hub, v) for v in comp}
+                for comp in p.components]
+    assert all(len(b) == 1 for b in branches)
+    assert len(set.union(*branches)) == len(p.components)
+
+
+def hub_neighbour_towards(t, hub, v):
+    """The hub's tree neighbour on the path from v to the hub."""
+    prev = {v: None}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in (*t.children[u], t.parent[u]):
+            if w >= 0 and w not in prev:
+                prev[w] = u
+                stack.append(w)
+    return prev[hub]
 
 
 def test_hub_is_smallest_vertex_of_maximum_degree():
@@ -208,6 +242,22 @@ def test_lemma33_detects_deep_cross_branch_cycle_edges():
     assert lemma33_violated(tree_profile(deep))
     shallow = PlaneTree.from_shape((((),), ((),), ()))
     assert not lemma33_violated(tree_profile(shallow))
+
+
+def test_layout_matches_leaf_order_reference_on_all_small_shapes():
+    checked = 0
+    for n in range(4, 11):
+        for shape in ordered_tree_shapes(n):
+            if shape_max_degree(shape) < 3:
+                continue
+            t = PlaneTree.from_shape(shape)
+            assert t.leaves == contour_leaves_by_recursion(t.children)
+            assert lemma33_violated(tree_profile(t)) == lemma33_by_leaf_order(
+                t.children
+            )
+            checked += 1
+    # Catalan(n - 1) shapes per n, less the n - 1 shapes of a path
+    assert checked == sum((5, 14, 42, 132, 429, 1430, 4862)) - sum(range(3, 10))
 
 
 def pruned(h):
