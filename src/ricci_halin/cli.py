@@ -28,7 +28,6 @@ from .curvature import (
 from .enumeration import (
     classification_to_json_dict,
     enumerate_halin,
-    family_counts,
     verify_theorem,
 )
 from .formats import detect_and_parse, to_dot, to_graph6, write_edge_list
@@ -68,19 +67,14 @@ def _write_output(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-
-
 def _cmd_gen(args) -> int:
     h = parse_family_spec(args.spec)
-    fmt = args.format or "graph6"
-    if fmt == "graph6":
+    if args.format == "graph6":
         text = to_graph6(h.graph).decode("ascii") + "\n"
-    elif fmt == "edgelist":
+    elif args.format == "edgelist":
         text = write_edge_list(h.graph)
-    elif fmt == "dot":
+    else:  # dot
         text = to_dot(h.graph)
-    else:
-        raise _UsageError(f"gen cannot emit format {fmt!r}")
     _write_output(text, args.output)
     return 0
 
@@ -100,20 +94,16 @@ def _cmd_curv(args) -> int:
     g = _read_graph(args.input)
     report = curvature_report(g)
     # self-check against the independent dual oracle where it is feasible
-    threshold = args.oracle_threshold
-    if threshold is None:
-        threshold = DEFAULT_ORACLE_THRESHOLD
     for (u, v), k in report.edge_curvature:
-        if g.degree(u) + g.degree(v) <= threshold:
-            dual = kappa_lly_dual(g, (u, v), threshold)
+        if g.degree(u) + g.degree(v) <= args.oracle_threshold:
+            dual = kappa_lly_dual(g, (u, v), args.oracle_threshold)
             if dual != k:
                 raise AssertionError(
                     f"primal/dual disagree on edge ({u},{v}): {k} vs {dual}"
                 )
-    fmt = args.format or "table"
-    if fmt == "table":
+    if args.format == "table":
         text = _curv_table(g, report)
-    elif fmt == "json":
+    elif args.format == "json":
         payload = {
             "n": g.n,
             "edges": [[u, v, str(k)] for (u, v), k in report.edge_curvature],
@@ -121,11 +111,9 @@ def _cmd_curv(args) -> int:
             "positively_curved": report.positively_curved,
         }
         text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "dot":
+    else:  # dot
         labels = {e: k for e, k in report.edge_curvature}
         text = to_dot(g, labels)
-    else:
-        raise _UsageError(f"curv cannot emit format {fmt!r}")
     _write_output(text, args.output)
     return 0 if report.positively_curved else 2
 
@@ -142,15 +130,10 @@ def _cmd_enum(args) -> int:
         args.n_max, use_pruning=not args.no_prune, workers=args.workers
     )
     if args.halin_only:
-        classes = result.halin_classes()
-        zeros = tuple(e for e in result.zero_classes if e.halin)
-        counts, counts_by_n = family_counts(classes)
         result = dataclasses.replace(
             result,
-            classes=classes,
-            zero_classes=zeros,
-            counts=counts,
-            counts_by_n=counts_by_n,
+            classes=result.halin_classes(),
+            zero_classes=tuple(e for e in result.zero_classes if e.halin),
         )
     payload = classification_to_json_dict(result)
     payload["halin_only"] = bool(args.halin_only)
@@ -167,9 +150,6 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n_max < 12:
-        print("n_max must be >= 12", file=sys.stderr)
-        return 1
     report = verify_theorem(args.n_max, workers=args.workers)
     for line in report.lines():
         print(line)
@@ -213,7 +193,8 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="emit a named wheel-family graph")
     p_gen.add_argument("spec", help="family spec: W:n, W1:n, or W2:n")
-    p_gen.add_argument("--format", choices=["graph6", "edgelist", "dot"])
+    p_gen.add_argument("--format", choices=["graph6", "edgelist", "dot"],
+                       default="graph6")
     p_gen.add_argument("--output")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -223,10 +204,12 @@ def _build_parser() -> _Parser:
         help="graph file (edge list or graph6), '-' for stdin, or a "
         "family spec like W:5",
     )
-    p_curv.add_argument("--format", choices=["table", "json", "dot"])
+    p_curv.add_argument("--format", choices=["table", "json", "dot"],
+                        default="table")
     p_curv.add_argument(
         "--oracle-threshold",
         type=int,
+        default=DEFAULT_ORACLE_THRESHOLD,
         help="cross-check edges whose degree sum is at most this via the "
         f"dual oracle (default {DEFAULT_ORACLE_THRESHOLD}; 0 disables)",
     )

@@ -4,8 +4,10 @@ Every rooted ordered tree on n vertices (Catalan many) yields one
 generalized Halin graph; sweeping all of them for n <= n_max covers
 every planar embedding, and graph-level canonical forms collapse the
 massive over-generation into isomorphism classes.  Optional pruning
-discards trees whose layout already certifies a non-positively curved
-edge before any exact computation happens.
+discards trees that certify a non-positively curved edge before any
+exact computation happens: the layout rules (Lemmas 3.2 and 3.3) read
+only the tree and run before its Graph is built, and the C3/C4 degree
+bound runs on the Graph of each tree they keep.
 
 Curvature reports for surviving classes are computed on the canonically
 relabeled representative so that serialized output is deterministic.
@@ -124,24 +126,47 @@ class ClassificationResult:
     # classes whose minimum is exactly 0 *among pruning survivors*; with
     # pruning on, layout-certified zero classes never reach this list
     zero_classes: tuple[ClassEntry, ...]
-    counts: dict[str, int]  # per family kind
-    counts_by_n: dict[int, int]
     pruned_count: int  # generated trees discarded by layout pruning
     generated_count: int  # trees with max degree >= 3 examined
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return family_counts(self.classes)[0]
+
+    @property
+    def counts_by_n(self) -> dict[int, int]:
+        return family_counts(self.classes)[1]
 
     def halin_classes(self) -> tuple[ClassEntry, ...]:
         return tuple(e for e in self.classes if e.halin)
 
 
+def _sweep_shapes(n_max: int) -> list[Shape]:
+    """The shapes the sweep examines: ordered trees on 4..n_max vertices."""
+    return [s for n in range(4, n_max + 1) for s in ordered_tree_shapes(n)]
+
+
 def distinct_halin_graphs(n_max: int) -> Iterator[HalinGraph]:
     """One representative per isomorphism class, all curvature signs,
     ordered by (n, canonical form)."""
-    survivors, _, _ = _classify_chunk(
-        ([s for n in range(4, n_max + 1) for s in ordered_tree_shapes(n)],
-         False)
-    )
+    survivors, _, _ = _classify_chunk((_sweep_shapes(n_max), False))
     for _key, shape in sorted(survivors.items()):
         yield build_halin(PlaneTree.from_shape(shape))
+
+
+def _layout_prunes(t: PlaneTree) -> bool:
+    """Lemma 3.2, then Lemma 3.3: the tree alone forces kappa <= 0."""
+    p = tree_profile(t)
+    return lemma32_violated(p) or lemma33_violated(p)
+
+
+def _degree_bound_prunes(g: Graph) -> bool:
+    """The C3/C4 degree bound certifies kappa <= 0 on some edge of g."""
+    for e in g.edges():
+        bound = c3c4_upper_bound(g, e)
+        if bound is not None and bound <= 0:
+            return True
+    return False
 
 
 def prune_negative(t: PlaneTree, g: Graph) -> bool:
@@ -152,14 +177,7 @@ def prune_negative(t: PlaneTree, g: Graph) -> bool:
     Sound, not complete: wheels near the positivity boundary pass the
     lemmas and are settled by exact computation.
     """
-    p = tree_profile(t)
-    if lemma32_violated(p) or lemma33_violated(p):
-        return True
-    for e in g.edges():
-        bound = c3c4_upper_bound(g, e)
-        if bound is not None and bound <= 0:
-            return True
-    return False
+    return _layout_prunes(t) or _degree_bound_prunes(g)
 
 
 def _keep_least(
@@ -185,8 +203,12 @@ def _classify_chunk(
         generated += 1
         t = PlaneTree.from_shape(shape)
         tree_e, cycle_e = halin_edges(t)
+        # prune_negative's rules in its order; no Graph for layout-pruned trees
+        if use_pruning and _layout_prunes(t):
+            pruned += 1
+            continue
         g = Graph(t.n, tree_e + cycle_e)
-        if use_pruning and prune_negative(t, g):
+        if use_pruning and _degree_bound_prunes(g):
             pruned += 1
             continue
         key = (t.n, canonical_certificate(t.n, list(g._masks)))
@@ -206,40 +228,46 @@ def family_counts(
     return counts, counts_by_n
 
 
+def _sweep(
+    shapes: list[Shape], use_pruning: bool, workers: int
+) -> Iterator[tuple[dict[tuple[int, int], Shape], int, int]]:
+    """Each chunk's result: one chunk in-process for workers <= 1, else
+    chunks of len // (workers * 8) shapes on a pool, in any order."""
+    if workers <= 1:
+        yield _classify_chunk((shapes, use_pruning))
+        return
+    import multiprocessing as mp
+
+    size = max(1, len(shapes) // (workers * 8))
+    chunks = [
+        (shapes[i:i + size], use_pruning) for i in range(0, len(shapes), size)
+    ]
+    with mp.Pool(workers) as pool:
+        yield from pool.imap_unordered(_classify_chunk, chunks)
+
+
 def enumerate_halin(
     n_max: int, use_pruning: bool = True, workers: int = 1
 ) -> ClassificationResult:
     """Classify all generalized Halin graphs on at most n_max vertices."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
-    all_shapes: list[Shape] = []
-    for n in range(4, n_max + 1):
-        all_shapes.extend(ordered_tree_shapes(n))
-
     survivors: dict[tuple[int, int], Shape] = {}
     pruned = 0
     generated = 0
-    if workers <= 1:
-        survivors, pruned, generated = _classify_chunk(
-            (all_shapes, use_pruning)
-        )
-    else:
-        import multiprocessing as mp
-
-        chunk_size = max(1, len(all_shapes) // (workers * 8))
-        chunks = [
-            (all_shapes[i:i + chunk_size], use_pruning)
-            for i in range(0, len(all_shapes), chunk_size)
-        ]
-        with mp.Pool(workers) as pool:
-            for part, p, g in pool.imap_unordered(_classify_chunk, chunks):
-                for key, shape in part.items():
-                    _keep_least(survivors, key, shape)
-                pruned += p
-                generated += g
+    for part, p, g in _sweep(_sweep_shapes(n_max), use_pruning, workers):
+        for key, shape in part.items():
+            _keep_least(survivors, key, shape)
+        pruned += p
+        generated += g
 
     positives: list[ClassEntry] = []
     zeros: list[ClassEntry] = []
+    sporadic = 0
+    # (n, certificate) order is (n, canonical form) order: for one n every
+    # canonical graph6 string has the same length, and its body is the
+    # certificate's bits, big-endian.  So both lists come out sorted, and
+    # sporadic positives are numbered in that order.
     for (n, cert), shape in sorted(survivors.items()):
         # the key's certificate is the class's canonical form, unpacked
         cert_bytes = pack_graph6(n, cert, n * (n - 1) // 2)
@@ -247,12 +275,16 @@ def enumerate_halin(
         report = curvature_report(canon)
         if report.min_curvature < 0:
             continue
+        family = recognize_family(n, cert_bytes)
+        if report.min_curvature > 0 and family.kind == "sporadic":
+            sporadic += 1
+            family = FamilyLabel("sporadic", sporadic)
         entry = ClassEntry(
             canonical=cert_bytes,
             n=n,
             graph=canon,
             report=report,
-            family=recognize_family(n, cert_bytes),
+            family=family,
             halin=is_halin(canon),
             source_shape=shape,
         )
@@ -261,30 +293,11 @@ def enumerate_halin(
         else:
             zeros.append(entry)
 
-    positives.sort(key=lambda e: (e.n, e.canonical))
-    zeros.sort(key=lambda e: (e.n, e.canonical))
-    # sporadic indices follow the (n, canonical form) order of the positives
-    index = 0
-    for i, entry in enumerate(positives):
-        if entry.family.kind == "sporadic":
-            index += 1
-            positives[i] = ClassEntry(
-                entry.canonical,
-                entry.n,
-                entry.graph,
-                entry.report,
-                FamilyLabel("sporadic", index),
-                entry.halin,
-                entry.source_shape,
-            )
-    counts, counts_by_n = family_counts(positives)
     return ClassificationResult(
         n_max=n_max,
         use_pruning=use_pruning,
         classes=tuple(positives),
         zero_classes=tuple(zeros),
-        counts=counts,
-        counts_by_n=counts_by_n,
         pruned_count=pruned,
         generated_count=generated,
     )
@@ -292,10 +305,13 @@ def enumerate_halin(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
     n_max: int
     result: ClassificationResult
     failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def lines(self) -> list[str]:
         out = []
@@ -344,7 +360,6 @@ def verify_theorem(n_max: int, workers: int = 1) -> VerificationReport:
             f"found {len(halin)}"
         )
     return VerificationReport(
-        ok=not failures,
         n_max=n_max,
         result=result,
         failures=tuple(failures),
@@ -369,7 +384,7 @@ def classification_to_json_dict(result: ClassificationResult) -> dict:
     return {
         "n_max": result.n_max,
         "use_pruning": result.use_pruning,
-        "counts": dict(result.counts),
+        "counts": result.counts,
         "counts_by_n": {
             str(n): c for n, c in sorted(result.counts_by_n.items())
         },

@@ -124,6 +124,7 @@ def test_enum_halin_only_filter(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["halin_only"] is True
     assert payload["counts"] == {"W": 3, "W1": 0, "W2": 0, "sporadic": 1}
+    assert payload["counts_by_n"] == {"4": 1, "5": 1, "6": 2}
     assert [c["family"] for c in payload["classes"]] == [
         "W_4", "W_5", "W_6", "H_1"
     ]

@@ -21,7 +21,15 @@ from ricci_halin.enumeration import (
     shape_max_degree,
     verify_theorem,
 )
-from ricci_halin.halin import PlaneTree, build_halin, wheel, wheel_sub2
+from ricci_halin.halin import (
+    PlaneTree,
+    build_halin,
+    lemma32_violated,
+    lemma33_violated,
+    tree_profile,
+    wheel,
+    wheel_sub2,
+)
 
 F = Fraction
 
@@ -134,8 +142,31 @@ def test_generation_order_does_not_change_survivors():
     assert (pruned_f, gen_f) == (pruned_r, gen_r)
 
 
-def test_parallel_run_matches_serial():
-    assert enumerate_halin(7, workers=2) == enumerate_halin(7, workers=1)
+@pytest.mark.parametrize("workers", [2, 3])  # two different chunkings
+def test_parallel_run_matches_serial(workers):
+    assert enumerate_halin(7, workers=workers) == enumerate_halin(7, workers=1)
+
+
+def test_sweep_builds_graphs_only_for_layout_survivors(monkeypatch):
+    real = enumeration.Graph
+    builds = []
+
+    def counting_graph(*args):
+        builds.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "Graph", counting_graph)
+    shapes = [s for n in range(4, 10) for s in ordered_tree_shapes(n)]
+    _, pruned, generated = _classify_chunk((shapes, True))
+    kept_by_layout = 0
+    for shape in shapes:
+        if shape_max_degree(shape) < 3:
+            continue
+        p = tree_profile(PlaneTree.from_shape(shape))
+        if not (lemma32_violated(p) or lemma33_violated(p)):
+            kept_by_layout += 1
+    assert len(builds) == kept_by_layout
+    assert generated - pruned <= kept_by_layout < generated
 
 
 def test_distinct_graphs_up_to_six_all_positively_curved():
@@ -201,6 +232,8 @@ def test_sporadic_indices_follow_canonical_order(classification13):
     assert all(e.n <= 8 for e in sporadics)
     keys = [(e.n, e.canonical) for e in classification13.classes]
     assert keys == sorted(keys)
+    zero_keys = [(e.n, e.canonical) for e in classification13.zero_classes]
+    assert zero_keys == sorted(zero_keys)
 
 
 def test_wheel13_and_the_deep_witness_land_in_the_zero_classes(
