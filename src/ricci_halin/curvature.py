@@ -8,7 +8,9 @@ Two independent routes to the same number:
 * dual: minimum of Df(x) - Df(y) over integer-valued 1-Lipschitz f with
   f(x)=0, f(y)=1, where D is the degree-normalized Laplacian.  The
   minimum is attained with values in [-2,2] because every vertex of
-  N[x] u N[y] lies within distance 2 of x.
+  N[x] u N[y] lies within distance 2 of x.  The branch-and-bound runs in
+  integers: scaled by d_x*d_y every coefficient of the objective is an
+  integer, and the one Fraction is the value it returns.
 
 Both routes are local: every distance they read lies between two
 vertices of N[x] u N[y], hence is at most 3, and comes from
@@ -35,9 +37,6 @@ from .transport import (
     vertex_measure,
     wasserstein,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class CurvatureError(ValueError):
@@ -77,84 +76,69 @@ def kappa_lly(g: Graph, e: Sequence[int]) -> Fraction:
 def _dual_search(
     g: Graph, x: int, y: int, threshold: int
 ) -> tuple[Fraction, dict[int, int]]:
-    if g.degree(x) + g.degree(y) > threshold:
+    dx, dy = g.degree(x), g.degree(y)
+    if dx + dy > threshold:
         raise OracleInfeasibleError(
-            f"oracle infeasible: d_x + d_y = {g.degree(x) + g.degree(y)} "
+            f"oracle infeasible: d_x + d_y = {dx + dy} "
             f"exceeds threshold {threshold}"
         )
-    domain = sorted(set(g.adj[x]) | set(g.adj[y]) | {x, y})
-    dx, dy = g.degree(x), g.degree(y)
-    base = ONE + Fraction(1, dx)  # contribution of f(y)=1 through Df(x)
-    coeff: dict[int, Fraction] = {}
-    for v in domain:
-        if v in (x, y):
-            continue
-        c = ZERO
-        if g.has_edge(x, v):
-            c += Fraction(1, dx)
-        if g.has_edge(y, v):
-            c -= Fraction(1, dy)
-        coeff[v] = c
+    # Scaled by dx*dy the objective is an integer: f(y) = 1 gives
+    # dx*dy + dy, a free v gives c_v*f(v).  The positive scale keeps every
+    # comparison below, so the search is the same as over rationals.
+    adj_x, adj_y = set(g.adj[x]), set(g.adj[y])
+    coeff = {
+        v: dy * (v in adj_x) - dx * (v in adj_y)
+        for v in (adj_x | adj_y) - {x, y}
+    }
     free = sorted(coeff, key=lambda v: (-abs(coeff[v]), v))
+    k = len(free)
+    c = [coeff[v] for v in free]
     distance = g.distance
-    dist: dict[int, dict[int, int]] = {v: {} for v in free}
-    for i, u in enumerate(free):
-        for v in free[i + 1:]:
-            dist[u][v] = dist[v][u] = distance(u, v)
-    lo = {}
-    hi = {}
+    # ahead[i][j - i - 1] is the distance from free[i] to free[j], j > i
+    ahead = [
+        [distance(u, v) for v in free[i + 1:]] for i, u in enumerate(free)
+    ]
+    lo, hi = [], []
     for v in free:
         dx_v, dy_v = distance(v, x), distance(v, y)
-        lo[v] = max(-2, -dx_v, 1 - dy_v)
-        hi[v] = min(2, dx_v, 1 + dy_v)
-        if lo[v] > hi[v]:
+        lo.append(max(-2, -dx_v, 1 - dy_v))
+        hi.append(min(2, dx_v, 1 + dy_v))
+        if lo[-1] > hi[-1]:
             raise CurvatureError("empty Lipschitz domain")  # unreachable
+    value = [0] * k
+    best: int | None = None
+    best_f: list[int] = []
 
-    best_val: list[Fraction | None] = [None]
-    best_f: dict[int, int] = {}
-
-    def bound_tail(idx: int) -> Fraction:
-        total = ZERO
-        for v in free[idx:]:
-            c = coeff[v]
-            total += min(c * lo[v], c * hi[v])
-        return total
-
-    def descend(idx: int, partial: Fraction) -> None:
-        if best_val[0] is not None and partial + bound_tail(idx) >= best_val[0]:
+    def descend(i: int, partial: int) -> None:
+        nonlocal best, best_f
+        if best is not None:
+            # the least the remaining vertices can add on their boxes
+            tail = sum(min(c[j] * lo[j], c[j] * hi[j]) for j in range(i, k))
+            if partial + tail >= best:
+                return
+        if i == k:
+            best, best_f = partial, value[:]
             return
-        if idx == len(free):
-            best_val[0] = partial
-            best_f.clear()
-            best_f.update({v: assignment[v] for v in free})
-            return
-        v = free[idx]
-        c = coeff[v]
-        values = sorted(range(lo[v], hi[v] + 1), key=lambda t: c * t)
-        saved = [(u, lo[u], hi[u]) for u in free[idx + 1:]]
-        for t in values:
+        ci = c[i]
+        saved_lo, saved_hi = lo[i + 1:], hi[i + 1:]
+        for t in sorted(range(lo[i], hi[i] + 1), key=lambda t: ci * t):
             feasible = True
-            for u in free[idx + 1:]:
-                d = dist[u][v]
-                if t - d > lo[u]:
-                    lo[u] = t - d
-                if t + d < hi[u]:
-                    hi[u] = t + d
-                if lo[u] > hi[u]:
+            for j, d in enumerate(ahead[i], i + 1):
+                if t - d > lo[j]:
+                    lo[j] = t - d
+                if t + d < hi[j]:
+                    hi[j] = t + d
+                if lo[j] > hi[j]:
                     feasible = False
             if feasible:
-                assignment[v] = t
-                descend(idx + 1, partial + c * t)
-            for u, l, h in saved:
-                lo[u], hi[u] = l, h
-        assignment.pop(v, None)
+                value[i] = t
+                descend(i + 1, partial + ci * t)
+            lo[i + 1:], hi[i + 1:] = saved_lo, saved_hi
 
-    assignment: dict[int, int] = {}
-    descend(0, base)
-    assert best_val[0] is not None
+    descend(0, dx * dy + dy)
     f = {x: 0, y: 1}
-    f.update(best_f)
-    return best_val[0], f
+    f.update(zip(free, best_f))
+    return Fraction(best, dx * dy), f
 
 
 def kappa_lly_dual(
@@ -179,9 +163,7 @@ def coupling_certificate(
 ) -> "CouplingCertificate":
     """An optimal transport plan: certifies the exact curvature from below."""
     x, y = require_edge(g, e)
-    if alpha is None:
-        alpha = critical_alpha(g, e)
-    alpha = Fraction(alpha)
+    alpha = critical_alpha(g, e) if alpha is None else _idleness(g, e, alpha)
     result = wasserstein(
         g, vertex_measure(g, x, alpha), vertex_measure(g, y, alpha)
     )
@@ -257,17 +239,23 @@ def check_lipschitz_certificate(
     return lap_x - lap_y
 
 
+def _idleness(g: Graph, e: Sequence[int], alpha: Fraction) -> Fraction:
+    """alpha as a Fraction, if a coupling at it certifies the LLY value."""
+    alpha = Fraction(alpha)
+    floor = critical_alpha(g, e)
+    if not floor <= alpha < 1:
+        raise CurvatureError(
+            f"alpha {alpha} outside [{floor}, 1); the ratio identity needs it"
+        )
+    return alpha
+
+
 def check_coupling_certificate(
     g: Graph, cert: CouplingCertificate
 ) -> Fraction:
     """Validate and evaluate: returns the certified lower bound on curvature."""
     x, y = require_edge(g, cert.edge)
-    alpha = Fraction(cert.alpha)
-    floor = critical_alpha(g, cert.edge)
-    if not floor <= alpha < 1:
-        raise CurvatureError(
-            f"alpha {alpha} outside [{floor}, 1); the ratio identity needs it"
-        )
+    alpha = _idleness(g, cert.edge, cert.alpha)
     mx = vertex_measure(g, x, alpha)
     my = vertex_measure(g, y, alpha)
     try:
@@ -317,6 +305,11 @@ def certificate_to_json(
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _is_json_int(v: object) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def certificate_from_json(
     text: str,
 ) -> LipschitzCertificate | CouplingCertificate:
@@ -330,7 +323,7 @@ def certificate_from_json(
     if (
         not isinstance(edge, list)
         or len(edge) != 2
-        or not all(isinstance(v, int) for v in edge)
+        or not all(_is_json_int(v) for v in edge)
     ):
         raise CurvatureError("'edge' must be a pair of vertex ids")
     has_f = "f" in payload
@@ -343,7 +336,7 @@ def certificate_from_json(
             raise CurvatureError("'f' must map vertex ids to integers")
         f = {}
         for k, val in raw.items():
-            if not isinstance(val, int) or isinstance(val, bool):
+            if not _is_json_int(val):
                 raise CurvatureError(f"non-integer value {val!r} in 'f'")
             try:
                 f[int(k)] = val
@@ -352,14 +345,20 @@ def certificate_from_json(
         return LipschitzCertificate((edge[0], edge[1]), f)
     if "alpha" not in payload:
         raise CurvatureError("coupling certificate needs 'alpha'")
+    if not isinstance(payload["pi"], list):
+        raise CurvatureError("'pi' must be a list of [u, v, mass] entries")
     try:
         alpha = Fraction(str(payload["alpha"]))
         pi = []
         for entry in payload["pi"]:
-            if not isinstance(entry, list) or len(entry) != 3:
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 3
+                or not all(_is_json_int(v) for v in entry[:2])
+            ):
                 raise CurvatureError(f"bad coupling entry {entry!r}")
             u, v, m = entry
-            pi.append((int(u), int(v), Fraction(str(m))))
+            pi.append((u, v, Fraction(str(m))))
     except CurvatureError:
         raise
     except (ValueError, ZeroDivisionError):

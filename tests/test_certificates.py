@@ -25,7 +25,13 @@ from ricci_halin.curvature import (
     lipschitz_certificate,
 )
 from ricci_halin.graph import Graph
-from ricci_halin.halin import wheel, wheel_sub1
+from ricci_halin.halin import (
+    PlaneTree,
+    build_halin,
+    wheel,
+    wheel_sub1,
+    wheel_sub2,
+)
 from ricci_halin.transport import vertex_measure
 
 from oracles import random_connected_graph
@@ -207,6 +213,9 @@ def test_coupling_certificate_rejects_idleness_outside_range():
         cert = CouplingCertificate((1, 2), alpha, ((1, 2, F(1)),))
         with pytest.raises(CurvatureError, match="outside"):
             check_coupling_certificate(g, cert)
+        # the producer refuses what the checker would refuse
+        with pytest.raises(CurvatureError, match=r"outside \[1/4, 1\)"):
+            coupling_certificate(g, (1, 2), alpha)
 
 
 def test_coupling_certificate_rejects_broken_marginals():
@@ -243,6 +252,7 @@ def test_certificate_json_uses_plain_rationals():
         '{"f": {"0": 0}}',  # no edge
         '{"edge": [0], "f": {"0": 0}}',
         '{"edge": ["a", "b"], "f": {"0": 0}}',
+        '{"edge": [false, true], "f": {"0": 0}}',  # bools are not vertex ids
         '{"edge": [0, 1]}',  # neither f nor pi
         '{"edge": [0, 1], "f": {"0": 0}, "alpha": "1/2", "pi": []}',  # both
         '{"edge": [0, 1], "f": [0, 1]}',  # f not a map
@@ -254,6 +264,10 @@ def test_certificate_json_uses_plain_rationals():
         '{"edge": [0, 1], "alpha": "1/0", "pi": [[0, 1, "1"]]}',
         '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, 1]]}',
         '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, 1, "1/q"]]}',
+        '{"edge": [0, 1], "alpha": "1/2", "pi": 5}',  # pi not a list
+        '{"edge": [0, 1], "alpha": "1/2", "pi": [[null, 1, "1"]]}',
+        '{"edge": [0, 1], "alpha": "1/2", "pi": [[3.7, 1, "1"]]}',
+        '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, true, "1"]]}',
     ],
 )
 def test_certificate_json_rejects_malformed(text):
@@ -267,3 +281,190 @@ def test_certificate_json_accepts_integer_rationals():
     )
     assert cert.alpha == F(1, 4)
     assert cert.pi == ((1, 2, F(1)), (0, 0, F(0)))
+
+
+# --- golden Lipschitz certificates --------------------------------------
+# The dual search's exact value and the witness f it returns on every edge
+# with degree sum <= 14 of six fixed graphs.  The search order (vertices by
+# |coefficient|, values by contribution, first optimum kept) decides which
+# of several optimal f comes back, so any rewrite of the search must
+# reproduce these literally.  HALIN40_EDGES is a generalized Halin graph on
+# 40 vertices: a plane tree with subdivided edges plus its leaf cycle.
+
+HALIN40_EDGES = [
+    (0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (1, 6), (1, 9), (1, 14), (1, 24),
+    (1, 26), (1, 38), (2, 8), (3, 16), (3, 17), (3, 18), (4, 15), (4, 19),
+    (5, 36), (6, 7), (6, 22), (7, 29), (8, 10), (8, 27), (8, 28), (8, 35),
+    (9, 11), (9, 12), (9, 30), (10, 13), (10, 20), (10, 25), (10, 32),
+    (11, 19), (11, 39), (12, 30), (12, 39), (13, 27), (13, 37), (14, 15),
+    (15, 32), (16, 24), (16, 31), (17, 31), (18, 21), (19, 39), (20, 23),
+    (20, 37), (21, 31), (21, 36), (22, 33), (23, 25), (23, 37), (24, 35),
+    (25, 32), (26, 29), (26, 38), (27, 34), (28, 34), (29, 33), (30, 38),
+    (33, 36), (34, 35)
+]
+
+GOLDEN_LIPSCHITZ = {
+    "W_5": [
+        ((0, 1), "1", {0: 0, 1: 1, 2: 0, 3: -1, 4: 0}),
+        ((0, 2), "1", {0: 0, 1: 0, 2: 1, 3: 0, 4: -1}),
+        ((0, 3), "1", {0: 0, 1: -1, 2: 0, 3: 1, 4: 0}),
+        ((0, 4), "1", {0: 0, 1: 0, 2: -1, 3: 0, 4: 1}),
+        ((1, 2), "1", {0: 1, 1: 0, 2: 1, 3: 2, 4: 1}),
+        ((1, 4), "1", {0: 0, 1: 0, 2: -1, 3: 0, 4: 1}),
+        ((2, 3), "1", {0: 0, 1: -1, 2: 0, 3: 1, 4: 0}),
+        ((3, 4), "1", {0: 1, 1: 2, 2: 1, 3: 0, 4: 1}),
+    ],
+    "H_1": [
+        ((0, 1), "1", {0: 0, 1: 1, 2: 0, 3: -1, 5: 0}),
+        ((0, 2), "1", {0: 0, 1: 0, 2: 1, 3: -1, 4: 0}),
+        ((0, 3), "2/3", {0: 0, 1: -1, 2: -1, 3: 1, 4: 0, 5: 0}),
+        ((1, 2), "1", {0: 0, 1: 0, 2: 1, 4: 2, 5: 1}),
+        ((1, 5), "2/3", {0: -1, 1: 0, 2: -1, 3: 0, 4: 0, 5: 1}),
+        ((2, 4), "2/3", {0: -1, 1: -1, 2: 0, 3: 0, 4: 1, 5: 0}),
+        ((3, 4), "1", {0: -1, 2: 0, 3: 0, 4: 1, 5: 0}),
+        ((3, 5), "1", {0: -1, 1: 0, 3: 0, 4: 0, 5: 1}),
+        ((4, 5), "1", {1: 2, 2: 1, 3: 0, 4: 0, 5: 1}),
+    ],
+    "zero_witness": [
+        ((0, 1), "1/6", {0: 0, 1: 1, 2: 2, 3: 2, 4: 1, 5: -1, 8: 1}),
+        ((0, 4), "1/3", {0: 0, 1: 0, 3: 1, 4: 1, 5: 0, 6: 1, 8: -1}),
+        ((0, 5), "1/6", {0: 0, 1: -1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 1}),
+        ((0, 8), "1/3", {0: 0, 1: 0, 2: 1, 4: -1, 5: 0, 7: 1, 8: 1}),
+        ((1, 2), "1", {0: -1, 1: 0, 2: 1, 3: 0, 8: 0}),
+        ((1, 3), "1", {0: -1, 1: 0, 2: 0, 3: 1, 4: 0}),
+        ((2, 3), "2/3", {1: 0, 2: 0, 3: 1, 4: 2, 8: 0}),
+        ((2, 8), "0", {0: 1, 1: 0, 2: 0, 3: -1, 7: 2, 8: 1}),
+        ((3, 4), "0", {0: 1, 1: 0, 2: -1, 3: 0, 4: 1, 6: 2}),
+        ((4, 6), "0", {0: 0, 3: -1, 4: 0, 5: 1, 6: 1, 7: 2}),
+        ((5, 6), "1", {0: -1, 4: 0, 5: 0, 6: 1, 7: 0}),
+        ((5, 7), "1", {0: -1, 5: 0, 6: 0, 7: 1, 8: 0}),
+        ((6, 7), "2/3", {4: -1, 5: 0, 6: 0, 7: 1, 8: 1}),
+        ((7, 8), "0", {0: 1, 2: 2, 5: 0, 6: -1, 7: 0, 8: 1}),
+    ],
+    "wheel_sub2_8": [
+        ((0, 1), "3/10", {0: 0, 1: 1, 2: 1, 3: 0, 4: -1, 6: -1, 7: 0}),
+        ((0, 3), "2/5", {0: 0, 1: -1, 2: 0, 3: 1, 4: -1, 5: 0, 6: -1, 7: -1}),
+        ((0, 4), "3/10", {0: 0, 1: -1, 3: 0, 4: 1, 5: 1, 6: 0, 7: -1}),
+        ((0, 6), "7/15", {0: 0, 1: -1, 3: -1, 4: -1, 5: 0, 6: 1, 7: 1}),
+        ((0, 7), "7/15", {0: 0, 1: -1, 2: 0, 3: -1, 4: -1, 6: 1, 7: 1}),
+        ((1, 2), "2/3", {0: 1, 1: 0, 2: 1, 3: 2, 7: 2}),
+        ((2, 3), "1/3", {0: 1, 1: 0, 2: 0, 3: 1, 5: 2, 7: 0}),
+        ((2, 7), "1/3", {0: 1, 1: 0, 2: 0, 3: 0, 6: 2, 7: 1}),
+        ((3, 5), "1/3", {0: 0, 2: -1, 3: 0, 4: 1, 5: 1, 6: 1}),
+        ((4, 5), "2/3", {0: 1, 3: 2, 4: 0, 5: 1, 6: 2}),
+        ((5, 6), "1/3", {0: 1, 3: 0, 4: 0, 5: 0, 6: 1, 7: 2}),
+        ((6, 7), "2/3", {0: 0, 2: 2, 5: 0, 6: 0, 7: 1}),
+    ],
+    "K2": [
+        ((0, 1), "2", {0: 0, 1: 1}),
+    ],
+    "halin40": [
+        ((0, 1), "-1", {0: 0, 1: 1, 2: 2, 3: -1, 4: 2, 5: -1, 6: 2, 9: 2,
+            14: 2, 24: 1, 26: 2, 38: 2}),
+        ((0, 3), "-7/12", {0: 0, 1: -1, 3: 1, 5: -1, 16: 1, 17: 2, 18: 2}),
+        ((0, 5), "-1/3", {0: 0, 1: -1, 3: -1, 5: 1, 36: 2}),
+        ((1, 2), "-2/3", {0: -1, 1: 0, 2: 1, 4: -1, 6: -1, 8: 2, 9: -1, 14: -1,
+            24: 0, 26: -1, 38: -1}),
+        ((1, 4), "-7/9", {0: -1, 1: 0, 2: -1, 4: 1, 6: -1, 9: 0, 14: 1, 15: 2,
+            19: 2, 24: -1, 26: -1, 38: -1}),
+        ((1, 6), "-1", {0: -1, 1: 0, 2: -1, 4: -1, 6: 1, 7: 2, 9: -1, 14: -1,
+            22: 2, 24: -1, 26: 0, 38: -1}),
+        ((1, 9), "-5/6", {0: -1, 1: 0, 2: -1, 4: 0, 6: -1, 9: 1, 11: 2, 12: 2,
+            14: -1, 24: -1, 26: 0, 30: 2, 38: 1}),
+        ((1, 14), "-5/9", {0: -1, 1: 0, 2: -1, 4: 1, 6: -1, 9: -1, 14: 1,
+            15: 2, 24: -1, 26: -1, 38: -1}),
+        ((1, 24), "-8/9", {0: 0, 1: 0, 2: 0, 4: -1, 6: -1, 9: -1, 14: -1,
+            16: 2, 24: 1, 26: -1, 35: 2, 38: -1}),
+        ((1, 26), "-4/9", {0: -1, 1: 0, 2: -1, 4: -1, 6: 0, 9: -1, 14: -1,
+            24: -1, 26: 1, 29: 2, 38: 1}),
+        ((1, 38), "-1/3", {0: -1, 1: 0, 2: -1, 4: -1, 6: -1, 9: 1, 14: -1,
+            24: -1, 26: 1, 30: 2, 38: 1}),
+        ((2, 8), "-2/5", {1: -1, 2: 0, 8: 1, 10: 2, 27: 2, 28: 2, 35: 1}),
+        ((3, 16), "0", {0: 0, 3: 0, 16: 1, 17: 0, 18: -1, 24: 2, 31: 1}),
+        ((3, 17), "1/4", {0: -1, 3: 0, 16: 1, 17: 1, 18: 0, 31: 2}),
+        ((3, 18), "0", {0: -1, 3: 0, 16: 0, 17: 0, 18: 1, 21: 2}),
+        ((4, 15), "0", {1: -1, 4: 0, 14: 0, 15: 1, 19: -1, 32: 2}),
+        ((4, 19), "-1/3", {1: -1, 4: 0, 11: 1, 15: -1, 19: 1, 39: 2}),
+        ((5, 36), "-1/3", {0: -1, 5: 0, 21: 2, 33: 2, 36: 1}),
+        ((6, 7), "1/6", {1: -1, 6: 0, 7: 1, 22: -1, 29: 1}),
+        ((6, 22), "0", {1: -1, 6: 0, 7: 0, 22: 1, 33: 2}),
+        ((7, 29), "1/6", {6: 0, 7: 0, 26: 2, 29: 1, 33: 2}),
+        ((8, 10), "-4/5", {2: -1, 8: 0, 10: 1, 13: 2, 20: 2, 25: 2, 27: 1,
+            28: -1, 32: 2, 35: -1}),
+        ((8, 27), "2/15", {2: -1, 8: 0, 10: 1, 13: 2, 27: 1, 28: -1, 34: 0,
+            35: -1}),
+        ((8, 28), "1/5", {2: -1, 8: 0, 10: -1, 27: 1, 28: 1, 34: 2, 35: 1}),
+        ((8, 35), "-1/15", {2: 0, 8: 0, 10: -1, 24: 2, 27: -1, 28: -1, 34: 0,
+            35: 1}),
+        ((9, 11), "0", {1: 0, 9: 0, 11: 1, 12: 0, 19: 2, 30: -1, 39: 1}),
+        ((9, 12), "1/2", {1: -1, 9: 0, 11: 1, 12: 1, 30: 1, 39: 2}),
+        ((9, 30), "1/2", {1: 1, 9: 0, 11: -1, 12: 1, 30: 1, 38: 2}),
+        ((10, 13), "0", {8: 1, 10: 0, 13: 1, 20: 0, 25: -1, 27: 2, 32: -1,
+            37: 1}),
+        ((10, 20), "0", {8: -1, 10: 0, 13: 1, 20: 1, 23: 1, 25: 0, 32: -1,
+            37: 2}),
+        ((10, 25), "1/3", {8: -1, 10: 0, 13: -1, 20: 0, 23: 1, 25: 1, 32: 1}),
+        ((10, 32), "-1/5", {8: -1, 10: 0, 13: -1, 15: 2, 20: -1, 25: 1,
+            32: 1}),
+        ((11, 19), "2/3", {4: 2, 9: 0, 11: 0, 19: 1, 39: 0}),
+        ((11, 39), "1", {9: -1, 11: 0, 12: 0, 19: 0, 39: 1}),
+        ((12, 30), "1/3", {9: 0, 12: 0, 30: 1, 38: 2, 39: -1}),
+        ((12, 39), "0", {9: 0, 11: 1, 12: 0, 19: 2, 30: -1, 39: 1}),
+        ((13, 27), "0", {8: 2, 10: 1, 13: 0, 27: 1, 34: 2, 37: -1}),
+        ((13, 37), "0", {10: 0, 13: 0, 20: 1, 23: 2, 27: -1, 37: 1}),
+        ((14, 15), "1/3", {1: -1, 4: 0, 14: 0, 15: 1, 32: 2}),
+        ((15, 32), "-2/3", {4: -1, 10: 2, 14: -1, 15: 0, 25: 2, 32: 1}),
+        ((16, 24), "-1/3", {1: 2, 3: 0, 16: 0, 24: 1, 31: -1, 35: 2}),
+        ((16, 31), "0", {3: 0, 16: 0, 17: 1, 21: 2, 24: -1, 31: 1}),
+        ((17, 31), "1/2", {3: 0, 16: 1, 17: 0, 21: 2, 31: 1}),
+        ((18, 21), "0", {3: -1, 18: 0, 21: 1, 31: 1, 36: 2}),
+        ((19, 39), "1/3", {4: -1, 11: 0, 12: 2, 19: 0, 39: 1}),
+        ((20, 23), "1", {10: -1, 20: 0, 23: 1, 25: 0, 37: 0}),
+        ((20, 37), "1", {10: -1, 13: 0, 20: 0, 23: 0, 37: 1}),
+        ((21, 31), "-1/3", {16: 2, 17: 2, 18: 0, 21: 0, 31: 1, 36: -1}),
+        ((21, 36), "-2/3", {5: 2, 18: -1, 21: 0, 31: -1, 33: 2, 36: 1}),
+        ((22, 33), "0", {6: -1, 22: 0, 29: 1, 33: 1, 36: 2}),
+        ((23, 25), "0", {10: 1, 20: 0, 23: 0, 25: 1, 32: 2, 37: -1}),
+        ((23, 37), "2/3", {13: 2, 20: 0, 23: 0, 25: 0, 37: 1}),
+        ((24, 35), "-1/3", {1: -1, 8: 1, 16: -1, 24: 0, 34: 2, 35: 1}),
+        ((25, 32), "1/3", {10: 0, 15: 2, 23: -1, 25: 0, 32: 1}),
+        ((26, 29), "-1/3", {1: -1, 7: 1, 26: 0, 29: 1, 33: 2, 38: -1}),
+        ((26, 38), "1/3", {1: 0, 26: 0, 29: -1, 30: 2, 38: 1}),
+        ((27, 34), "0", {8: 1, 13: -1, 27: 0, 28: 2, 34: 1, 35: 2}),
+        ((28, 34), "2/3", {8: 1, 27: 2, 28: 0, 34: 1, 35: 2}),
+        ((29, 33), "-1/3", {7: -1, 22: 1, 26: -1, 29: 0, 33: 1, 36: 2}),
+        ((30, 38), "0", {1: 1, 9: 0, 12: -1, 26: 2, 30: 0, 38: 1}),
+        ((33, 36), "-2/3", {5: 2, 21: 2, 22: -1, 29: -1, 33: 0, 36: 1}),
+        ((34, 35), "0", {8: 0, 24: 2, 27: -1, 28: -1, 34: 0, 35: 1}),
+    ],
+}
+
+
+def golden_graph(name):
+    if name == "W_5":
+        return wheel(5).graph
+    if name == "H_1":  # the triangular prism
+        return build_halin(PlaneTree.from_shape(((), (), ((), ())))).graph
+    if name == "zero_witness":  # README's tight zero example
+        shape = (((), ()), (), ((), ()), ())
+        return build_halin(PlaneTree.from_shape(shape)).graph
+    if name == "wheel_sub2_8":
+        return wheel_sub2(8).graph
+    if name == "K2":  # no free vertex: f is {x: 0, y: 1} alone
+        return Graph(2, [(0, 1)])
+    assert name == "halin40"
+    return Graph(40, HALIN40_EDGES)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_LIPSCHITZ))
+def test_golden_lipschitz_certificates(name):
+    g = golden_graph(name)
+    rows = GOLDEN_LIPSCHITZ[name]
+    assert [e for e, _, _ in rows] == [
+        e for e in g.edges() if g.degree(e[0]) + g.degree(e[1]) <= 14
+    ]
+    for e, value, f in rows:
+        assert kappa_lly_dual(g, e) == F(value)
+        cert = lipschitz_certificate(g, e)
+        assert cert.f == f
+        assert check_lipschitz_certificate(g, cert) == F(value)

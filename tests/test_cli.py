@@ -1,4 +1,5 @@
 """Command-line behavior: formats, exit codes, round trips."""
+import hashlib
 import io
 import json
 
@@ -154,6 +155,16 @@ def test_enum_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_enum_output_is_byte_identical(capsys):
+    # the classification JSON must not change by a byte between releases;
+    # a deliberate change of the output format updates this digest
+    assert main(["enum", "--n-max", "10"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "9f4c1ee0f6be663fba18021b86c2d01e203eff58a79203d23b5facac00081861"
+    )
+
+
 def test_enum_two_workers_match_one(capsys):
     assert main(["enum", "--n-max", "5", "--workers", "1"]) == 0
     one = capsys.readouterr().out
@@ -217,6 +228,22 @@ def test_cert_invalid_certificates_exit_1(capsys, tmp_path):
     path.write_text(certificate_to_json(cert), encoding="ascii")
     assert main(["cert", "W:6", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cert_rejects_a_fractional_vertex_id(capsys, tmp_path):
+    # 3.7 must not be read as vertex 3, which would make a valid proof
+    cert = coupling_certificate(wheel(5).graph, (0, 1))
+    payload = json.loads(certificate_to_json(cert))
+    entry = next(e for e in payload["pi"] if e[0] == 3)
+    entry[0] = 3.7
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps(payload), encoding="ascii")
+    assert main(["cert", "W:5", str(path)]) == 1
+    assert "error" in capsys.readouterr().err
+    entry[0] = 3
+    path.write_text(json.dumps(payload), encoding="ascii")
+    assert main(["cert", "W:5", str(path)]) == 0
+    assert "proves positive curvature" in capsys.readouterr().out
 
 
 def test_top_level_usage_errors(capsys):
