@@ -310,6 +310,14 @@ def _is_json_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _json_rational(x: object) -> Fraction:
+    """A rational written as a JSON string; a JSON number is refused, as
+    it would reach Fraction through a binary float."""
+    if not isinstance(x, str):
+        raise CurvatureError(f"rational {x!r} must be a string like \"p/q\"")
+    return Fraction(x)
+
+
 def certificate_from_json(
     text: str,
 ) -> LipschitzCertificate | CouplingCertificate:
@@ -339,16 +347,19 @@ def certificate_from_json(
             if not _is_json_int(val):
                 raise CurvatureError(f"non-integer value {val!r} in 'f'")
             try:
-                f[int(k)] = val
+                v = int(k)
             except ValueError:
-                raise CurvatureError(f"non-numeric vertex id {k!r} in 'f'") from None
+                v = None
+            if str(v) != k:  # int() also reads "01", " 3", "1_0" and "-0"
+                raise CurvatureError(f"vertex id {k!r} in 'f' is not decimal")
+            f[v] = val
         return LipschitzCertificate((edge[0], edge[1]), f)
     if "alpha" not in payload:
         raise CurvatureError("coupling certificate needs 'alpha'")
     if not isinstance(payload["pi"], list):
         raise CurvatureError("'pi' must be a list of [u, v, mass] entries")
     try:
-        alpha = Fraction(str(payload["alpha"]))
+        alpha = _json_rational(payload["alpha"])
         pi = []
         for entry in payload["pi"]:
             if (
@@ -358,7 +369,7 @@ def certificate_from_json(
             ):
                 raise CurvatureError(f"bad coupling entry {entry!r}")
             u, v, m = entry
-            pi.append((u, v, Fraction(str(m))))
+            pi.append((u, v, _json_rational(m)))
     except CurvatureError:
         raise
     except (ValueError, ZeroDivisionError):

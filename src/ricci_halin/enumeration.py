@@ -1,7 +1,8 @@
 """Exhaustive classification of generalized Halin graphs by curvature.
 
-Every rooted ordered tree on n vertices (Catalan many) yields one
-generalized Halin graph; sweeping all of them for n <= n_max covers
+Every rooted ordered tree on n vertices (Catalan many) that is not a
+path yields one generalized Halin graph; the sweep builds each tree and
+skips the paths.  Sweeping all of them for n <= n_max covers
 every planar embedding, and graph-level canonical forms collapse the
 massive over-generation into isomorphism classes.  Optional pruning
 discards trees that certify a non-positively curved edge before any
@@ -57,18 +58,6 @@ def ordered_tree_shapes(n: int) -> tuple[Shape, ...]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return _forests(n - 1)
-
-
-def shape_max_degree(shape: Shape) -> int:
-    best = len(shape)  # root degree
-    stack = list(shape)
-    while stack:
-        sub = stack.pop()
-        d = len(sub) + 1
-        if d > best:
-            best = d
-        stack.extend(sub)
-    return best
 
 
 @dataclass(frozen=True)
@@ -198,10 +187,10 @@ def _classify_chunk(
     pruned = 0
     generated = 0
     for shape in shapes:
-        if shape_max_degree(shape) < 3:
+        t = PlaneTree.from_shape(shape)
+        if t.max_degree() < 3:
             continue
         generated += 1
-        t = PlaneTree.from_shape(shape)
         tree_e, cycle_e = halin_edges(t)
         # prune_negative's rules in its order; no Graph for layout-pruned trees
         if use_pruning and _layout_prunes(t):

@@ -110,6 +110,11 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphError(f"expected header 'n m', got {lines[0]!r}") from None
+    if n > m + 1:  # refused before n vertices are allocated
+        raise GraphError(
+            f"header promises {n} vertices and {m} edges; "
+            f"a connected graph needs at least {n - 1} edges"
+        )
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = set()

@@ -1,22 +1,21 @@
 """Plane trees and the leaf-cycle construction.
 
 A plane tree here is a rooted tree with an ordered child list per vertex
-(the planar embedding).  Joining its leaves by a cycle in contour order
-(depth-first, children left to right; a degree-1 root is itself a leaf
-and comes first) produces a generalized Halin graph.  A `PlaneTree`
-walks its contour once, when it is built, and keeps the leaves in that
-order (`leaves`) and its smallest vertex of maximum degree (`hub`); the
-builders and the layout predicates read those two fields.  The module
-also builds the three wheel families and evaluates the structural
-predicates that certify non-positive curvature from the tree layout
-alone.
+(the planar embedding), built from a shape: nested tuples, numbered in
+preorder.  Joining its leaves by a cycle in contour order (depth-first,
+children left to right; a degree-1 root is itself a leaf and comes
+first), which is ascending id order, produces a generalized Halin graph.
+The walk that numbers a `PlaneTree` also keeps its leaves (`leaves`)
+and its smallest vertex of maximum degree (`hub`); the builders and the
+layout predicates read those two fields.  The module also builds the
+three wheel families and evaluates the structural predicates that
+certify non-positive curvature from the tree layout alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .graph import Graph, normalize_edge
+from .graph import Graph
 
 Shape = tuple  # nested tuples; () is a leaf
 
@@ -26,65 +25,49 @@ class HalinError(ValueError):
 
 
 class PlaneTree:
-    """Rooted ordered tree on vertices 0..n-1 with root 0."""
+    """Rooted ordered tree on vertices 0..n-1, numbered in preorder from
+    the root 0, so parent[v] < v; `from_shape` is its one constructor."""
 
     __slots__ = ("n", "children", "parent", "leaves", "hub")
 
-    def __init__(self, children: Sequence[Sequence[int]]):
-        self.n = len(children)
-        self.children = tuple(tuple(c) for c in children)
-        parent = [-1] * self.n
-        seen = 0
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                if not 0 <= c < self.n:
-                    raise HalinError(f"child id {c} out of range")
-                if parent[c] != -1 or c == 0:
-                    raise HalinError(f"vertex {c} has two parents or is root")
-                parent[c] = v
-                seen += 1
-        if seen != self.n - 1:
-            raise HalinError("child lists do not form a tree rooted at 0")
-        # one preorder walk from the root (children left to right) checks
-        # connectivity and records the contour leaves and the hub
-        leaves = []
-        hub, top = 0, -1
-        stack = [0]
-        reached = 0
-        while stack:
-            v = stack.pop()
-            reached += 1
-            kids = self.children[v]
-            d = len(kids) + (v != 0)
-            if d == 1:
-                leaves.append(v)
-            if d > top or (d == top and v < hub):
-                hub, top = v, d
-            stack.extend(reversed(kids))
-        if reached != self.n:
-            raise HalinError("tree is not connected")
-        self.parent = tuple(parent)
-        self.leaves = tuple(leaves)
-        self.hub = hub
-        if self.n < 4:
-            raise HalinError(f"need at least 4 vertices, got {self.n}")
-        if self.max_degree() < 3:
-            raise HalinError("maximum tree degree must be at least 3")
-
     @classmethod
     def from_shape(cls, shape: Shape) -> "PlaneTree":
+        """Number a shape's vertices in preorder, in one walk that also
+        records the leaves and the hub (the first vertex of maximum
+        degree).  Paths are accepted; anything in a shape that is not a
+        tuple raises HalinError."""
         children: list[list[int]] = []
-
-        def build(sub: Shape) -> int:
-            me = len(children)
+        parent: list[int] = []
+        leaves = []
+        hub, top = 0, -1
+        stack = [shape]  # shapes still to number, and beside them
+        ups = [-1]  # the id of each one's parent
+        while stack:
+            sub = stack.pop()
+            up = ups.pop()
+            if not isinstance(sub, tuple):
+                raise HalinError(
+                    f"a shape is nested tuples, found {type(sub).__name__}"
+                )
+            v = len(parent)
+            parent.append(up)
             children.append([])
-            for child_shape in sub:
-                c = build(child_shape)
-                children[me].append(c)
-            return me
-
-        build(shape)
-        return cls(children)
+            if up >= 0:
+                children[up].append(v)
+            d = len(sub) + (up >= 0)
+            if d == 1:
+                leaves.append(v)
+            if d > top:
+                hub, top = v, d
+            stack.extend(reversed(sub))
+            ups.extend([v] * len(sub))
+        t = cls.__new__(cls)
+        t.n = len(parent)
+        t.children = tuple(map(tuple, children))
+        t.parent = tuple(parent)
+        t.leaves = tuple(leaves)
+        t.hub = hub
+        return t
 
     def tree_degree(self, v: int) -> int:
         return len(self.children[v]) + (1 if v != 0 else 0)
@@ -96,9 +79,7 @@ class PlaneTree:
         return self.tree_degree(v) == 1
 
     def tree_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            normalize_edge(self.parent[v], v) for v in range(1, self.n)
-        )
+        return tuple(zip(self.parent[1:], range(1, self.n)))
 
     def __repr__(self) -> str:
         return f"PlaneTree(n={self.n}, children={self.children})"
@@ -119,13 +100,15 @@ class HalinGraph:
 def halin_edges(
     t: PlaneTree,
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """(tree edges, cycle edges) without building the Graph."""
+    """(tree edges, cycle edges) without building the Graph, each edge
+    as (smaller id, larger id).  A tree with fewer than 3 leaves is a
+    path (maximum degree < 3), whose leaves close no cycle."""
     leaves = t.leaves
-    k = len(leaves)
-    assert k >= 3, "max degree >= 3 forces at least 3 leaves"
-    cycle = tuple(
-        normalize_edge(leaves[i], leaves[(i + 1) % k]) for i in range(k)
-    )
+    if len(leaves) < 3:
+        raise HalinError(
+            f"maximum tree degree must be at least 3, got {t.max_degree()}"
+        )
+    cycle = (*zip(leaves, leaves[1:]), (leaves[0], leaves[-1]))
     return t.tree_edges(), cycle
 
 

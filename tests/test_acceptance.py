@@ -17,11 +17,7 @@ from ricci_halin.curvature import (
     kappa_lly,
     kappa_lly_dual,
 )
-from ricci_halin.enumeration import (
-    enumerate_halin,
-    prune_negative,
-    shape_max_degree,
-)
+from ricci_halin.enumeration import enumerate_halin, prune_negative
 from ricci_halin.halin import PlaneTree, build_halin, wheel
 
 from oracles import random_connected_graph, random_tree
@@ -90,7 +86,7 @@ def test_criterion_5_deep_zero_curvature_witness(classification13):
     assert canonical_form(witness.graph) in zero_forms
     degree4_zeros = [
         e for e in classification13.zero_classes
-        if shape_max_degree(e.source_shape) == 4
+        if PlaneTree.from_shape(e.source_shape).max_degree() == 4
     ]
     assert degree4_zeros
     print("PASS criterion 5: the enumerator reports a maximum-tree-degree-4 "

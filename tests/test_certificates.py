@@ -268,6 +268,18 @@ def test_certificate_json_uses_plain_rationals():
         '{"edge": [0, 1], "alpha": "1/2", "pi": [[null, 1, "1"]]}',
         '{"edge": [0, 1], "alpha": "1/2", "pi": [[3.7, 1, "1"]]}',
         '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, true, "1"]]}',
+        # a vertex id in f is written one way only: plain decimal
+        '{"edge": [0, 1], "f": {"0": 0, "-0": 5}}',
+        '{"edge": [0, 1], "f": {"0": 0, "1_0": 2}}',
+        '{"edge": [0, 1], "f": {"0": 0, " 3": 0}}',
+        '{"edge": [0, 1], "f": {"0": 0, "01": 1}}',
+        '{"edge": [0, 1], "f": {"0": 0, "+1": 1}}',
+        # rationals are strings: a JSON number would pass through a float
+        '{"edge": [0, 1], "alpha": 0.5, "pi": [[0, 1, "1"]]}',
+        '{"edge": [0, 1], "alpha": 1, "pi": [[0, 1, "1"]]}',
+        '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, 1, 1]]}',
+        '{"edge": [0, 1], "alpha": "1/3", '
+        '"pi": [[0, 1, 0.33333333333333333333]]}',
     ],
 )
 def test_certificate_json_rejects_malformed(text):

@@ -163,6 +163,12 @@ def test_enum_output_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "9f4c1ee0f6be663fba18021b86c2d01e203eff58a79203d23b5facac00081861"
     )
+    # unpruned, every shape and both counts go through PlaneTree.from_shape
+    assert main(["enum", "--n-max", "10", "--no-prune"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "e83b00c49ff0c117acc348ac25809198450447c86aad95e159e5016665eb5e35"
+    )
 
 
 def test_enum_two_workers_match_one(capsys):

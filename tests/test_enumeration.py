@@ -18,7 +18,6 @@ from ricci_halin.enumeration import (
     enumerate_halin,
     ordered_tree_shapes,
     recognize_family,
-    shape_max_degree,
     verify_theorem,
 )
 from ricci_halin.halin import (
@@ -46,18 +45,25 @@ def test_ordered_tree_counts_are_catalan():
 def test_shapes_are_distinct_and_degree_matches_tree():
     shapes = ordered_tree_shapes(6)
     assert len(set(shapes)) == len(shapes)
+
+    def degrees(shape, up=0):
+        """Tree degrees in preorder, read off the nested tuples."""
+        yield len(shape) + up
+        for child in shape:
+            yield from degrees(child, 1)
+
     for shape in shapes:
-        t = PlaneTree.from_shape(shape) if shape_max_degree(shape) >= 3 else None
-        if t is not None:
-            assert shape_max_degree(shape) == t.max_degree()
+        t = PlaneTree.from_shape(shape)
+        assert [t.tree_degree(v) for v in range(t.n)] == list(degrees(shape))
+        assert t.max_degree() == max(degrees(shape))
 
 
 def test_smallest_plane_trees_build_k4():
     # the star, plus the star re-rooted at a leaf; paths are filtered out
     trees = [
-        PlaneTree.from_shape(s)
-        for s in ordered_tree_shapes(4)
-        if shape_max_degree(s) >= 3
+        t
+        for t in map(PlaneTree.from_shape, ordered_tree_shapes(4))
+        if t.max_degree() >= 3
     ]
     assert len(trees) == 2
     assert {t.children for t in trees} == {
@@ -160,9 +166,10 @@ def test_sweep_builds_graphs_only_for_layout_survivors(monkeypatch):
     _, pruned, generated = _classify_chunk((shapes, True))
     kept_by_layout = 0
     for shape in shapes:
-        if shape_max_degree(shape) < 3:
+        t = PlaneTree.from_shape(shape)
+        if t.max_degree() < 3:
             continue
-        p = tree_profile(PlaneTree.from_shape(shape))
+        p = tree_profile(t)
         if not (lemma32_violated(p) or lemma33_violated(p)):
             kept_by_layout += 1
     assert len(builds) == kept_by_layout

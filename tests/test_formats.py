@@ -1,5 +1,6 @@
 """Edge-list, graph6, and DOT serialization."""
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -100,15 +101,28 @@ def test_edge_list_comments_and_whitespace():
         "3\n0 1\n",  # header not 'n m'
         "x y\n0 1\n",
         "3 2\n0 1\n",  # promises 2 edges, has 1
-        "3 1\n0 1 2\n",  # bad edge line
-        "3 1\n0 q\n",
-        "3 1\n0 3\n",  # edge out of range (GraphError from Graph)
+        "2 1\n0 1 2\n",  # bad edge line
+        "2 1\n0 q\n",
+        "2 1\n0 3\n",  # edge out of range (GraphError from Graph)
+        "4 2\n0 1\n2 3\n",  # 4 vertices cannot be connected by 2 edges
         "3 3\n0 1\n1 2\n1 0\n",  # repeated edge, reversed
     ],
 )
 def test_edge_list_rejects_malformed(text):
     with pytest.raises(GraphError):
         parse_edge_list(text)
+
+
+def test_edge_list_refuses_huge_vertex_counts_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="at least 199999 edges"):
+            parse_edge_list("200000 0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert parse_edge_list("1 0") == Graph(1, [])
 
 
 def test_detect_and_parse_both_formats():

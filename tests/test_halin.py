@@ -5,11 +5,7 @@ import pytest
 
 from ricci_halin.canonical import are_isomorphic, canonical_form
 from ricci_halin.curvature import curvature_report
-from ricci_halin.enumeration import (
-    ordered_tree_shapes,
-    prune_negative,
-    shape_max_degree,
-)
+from ricci_halin.enumeration import ordered_tree_shapes, prune_negative
 from ricci_halin.graph import Graph
 from ricci_halin.halin import (
     HalinError,
@@ -50,19 +46,31 @@ def test_plane_tree_from_shape_uses_preorder_ids():
     assert t.is_leaf(1) and not t.is_leaf(2)
 
 
-def test_plane_tree_validation():
-    with pytest.raises(HalinError, match="two parents"):
-        PlaneTree(((1, 2), (2,), ()))
-    with pytest.raises(HalinError):
-        PlaneTree(((1,), (0,)))  # root cannot be a child
-    with pytest.raises(HalinError, match="at least 4"):
-        PlaneTree(((1, 2), (), ()))
-    with pytest.raises(HalinError, match="degree"):
-        PlaneTree.from_shape(((((),),),))  # a path has max degree 2
-    with pytest.raises(HalinError, match="not connected"):
-        PlaneTree(((1,), (), (3,), (2,)))  # 2 and 3 orbit each other
-    with pytest.raises(HalinError, match="out of range"):
-        PlaneTree(((1, 7), (), ()))
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "ab",  # a string is no shape, though its characters are strings
+        ((), 5, ()),
+        [(), (), ()],  # a list
+        ((), [()], ()),
+        ((), ((), None), ()),
+        None,
+    ],
+)
+def test_malformed_shapes_raise_halin_error(shape):
+    with pytest.raises(HalinError, match="nested tuples"):
+        PlaneTree.from_shape(shape)
+
+
+def test_build_halin_refuses_paths():
+    # a path's leaves close no cycle: at most 2 of them, max degree <= 2
+    for shape in ((), ((),), ((), ()), ((((),),),)):
+        t = PlaneTree.from_shape(shape)
+        assert t.max_degree() <= 2 and len(t.leaves) <= 2
+        with pytest.raises(HalinError, match="degree must be at least 3"):
+            build_halin(t)
+        with pytest.raises(HalinError, match="degree must be at least 3"):
+            halin_edges(t)
 
 
 def test_contour_order_is_depth_first():
@@ -91,14 +99,16 @@ def test_profile_distances_walk_both_directions():
     assert sorted(len(c) for c in p.components) == [1, 1, 1, 1]
 
 
-def test_leaves_and_hub_when_ids_are_not_preorder():
-    # preorder visits 0, 5, 3, 2, 1, 4, 6; vertices 5 and 1 both have
-    # degree 3, and the hub is the smaller id, not the first one visited
-    t = PlaneTree(((5, 1), (4, 6), (), (), (), (3, 2), ()))
-    assert t.leaves == (3, 2, 4, 6)
+def test_hub_is_the_first_vertex_of_maximum_degree():
+    # vertices 1 and 4 both have degree 3; the hub is the first, 1
+    t = PlaneTree.from_shape((((), ()), ((), ())))
+    assert t.leaves == (2, 3, 5, 6)
     assert t.hub == 1
     assert t.max_degree() == 3
     assert tree_profile(t).hub == 1
+    # a later vertex of larger degree wins over an earlier tie
+    t = PlaneTree.from_shape((((), ()), ((), ()), ((), (), ())))
+    assert t.hub == 7 and t.max_degree() == 4
 
 
 def test_build_halin_structure():
@@ -118,11 +128,9 @@ def test_build_halin_invariants_on_random_trees():
     rng = random.Random(6021)
     built = 0
     while built < 60:
-        shape = random_shape(rng, rng.randint(4, 11))
-        try:
-            t = PlaneTree.from_shape(shape)
-        except HalinError:
-            continue  # max degree < 3
+        t = PlaneTree.from_shape(random_shape(rng, rng.randint(4, 11)))
+        if t.max_degree() < 3:
+            continue
         built += 1
         h = build_halin(t)
         leaves = [v for v in range(t.n) if t.is_leaf(v)]
@@ -248,9 +256,9 @@ def test_layout_matches_leaf_order_reference_on_all_small_shapes():
     checked = 0
     for n in range(4, 11):
         for shape in ordered_tree_shapes(n):
-            if shape_max_degree(shape) < 3:
-                continue
             t = PlaneTree.from_shape(shape)
+            if t.max_degree() < 3:
+                continue
             assert t.leaves == contour_leaves_by_recursion(t.children)
             assert lemma33_violated(tree_profile(t)) == lemma33_by_leaf_order(
                 t.children
@@ -279,10 +287,8 @@ def test_pruned_trees_really_have_nonpositive_edges():
     rng = random.Random(1729)
     checked = 0
     while checked < 25:
-        shape = random_shape(rng, rng.randint(4, 9))
-        try:
-            t = PlaneTree.from_shape(shape)
-        except HalinError:
+        t = PlaneTree.from_shape(random_shape(rng, rng.randint(4, 9)))
+        if t.max_degree() < 3:
             continue
         h = build_halin(t)
         if pruned(h):
