@@ -25,6 +25,7 @@ BFS that stops at depth |f(u) - f(v)|.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,6 +34,7 @@ from .graph import Graph, edge_in_c3_or_c4, require_edge
 from .transport import (
     CouplingEntry,
     Measure,
+    _is_int,
     check_coupling,
     vertex_measure,
     wasserstein,
@@ -56,11 +58,27 @@ def critical_alpha(g: Graph, e: Sequence[int]) -> Fraction:
     return Fraction(1, max(g.degree(x), g.degree(y)) + 1)
 
 
+def _transport_edge(g: Graph, e: Sequence[int]) -> tuple[int, int]:
+    """require_edge for the transport route, whose measures take int
+    vertex ids only: a float or bool end is refused up front."""
+    if isinstance(e, (tuple, list)) and not all(map(_is_int, e)):
+        raise CurvatureError(f"edge {e!r}: vertex ids must be ints")
+    return require_edge(g, e)
+
+
+def _alpha(alpha: Fraction | int | str) -> Fraction:
+    """alpha as a Fraction; a float is refused, as its binary value is
+    not the decimal it was written as."""
+    if isinstance(alpha, float):
+        raise CurvatureError(f"alpha {alpha!r} is a float; give a Fraction")
+    return Fraction(alpha)
+
+
 def kappa_alpha(
     g: Graph, e: Sequence[int], alpha: Fraction | int | str
 ) -> Fraction:
-    x, y = require_edge(g, e)
-    alpha = Fraction(alpha)
+    x, y = _transport_edge(g, e)
+    alpha = _alpha(alpha)
     if not 0 <= alpha <= 1:
         raise CurvatureError(f"alpha {alpha} outside [0, 1]")
     mx = vertex_measure(g, x, alpha)
@@ -162,7 +180,7 @@ def coupling_certificate(
     g: Graph, e: Sequence[int], alpha: Fraction | None = None
 ) -> "CouplingCertificate":
     """An optimal transport plan: certifies the exact curvature from below."""
-    x, y = require_edge(g, e)
+    x, y = _transport_edge(g, e)
     alpha = critical_alpha(g, e) if alpha is None else _idleness(g, e, alpha)
     result = wasserstein(
         g, vertex_measure(g, x, alpha), vertex_measure(g, y, alpha)
@@ -241,7 +259,7 @@ def check_lipschitz_certificate(
 
 def _idleness(g: Graph, e: Sequence[int], alpha: Fraction) -> Fraction:
     """alpha as a Fraction, if a coupling at it certifies the LLY value."""
-    alpha = Fraction(alpha)
+    alpha = _alpha(alpha)
     floor = critical_alpha(g, e)
     if not floor <= alpha < 1:
         raise CurvatureError(
@@ -305,15 +323,14 @@ def certificate_to_json(
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _is_json_int(v: object) -> bool:
-    """A JSON integer: Python's bool is an int, JSON's true is not."""
-    return isinstance(v, int) and not isinstance(v, bool)
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _json_rational(x: object) -> Fraction:
-    """A rational written as a JSON string; a JSON number is refused, as
-    it would reach Fraction through a binary float."""
-    if not isinstance(x, str):
+    """A rational written as a JSON string "p/q" or a bare integer; a JSON
+    number is refused, as it would reach Fraction through a binary float,
+    and so is any other spelling Fraction reads ("0.5", "1e-3", " 1_0 ")."""
+    if not isinstance(x, str) or not _RATIONAL.fullmatch(x):
         raise CurvatureError(f"rational {x!r} must be a string like \"p/q\"")
     return Fraction(x)
 
@@ -331,7 +348,7 @@ def certificate_from_json(
     if (
         not isinstance(edge, list)
         or len(edge) != 2
-        or not all(_is_json_int(v) for v in edge)
+        or not all(_is_int(v) for v in edge)
     ):
         raise CurvatureError("'edge' must be a pair of vertex ids")
     has_f = "f" in payload
@@ -344,7 +361,7 @@ def certificate_from_json(
             raise CurvatureError("'f' must map vertex ids to integers")
         f = {}
         for k, val in raw.items():
-            if not _is_json_int(val):
+            if not _is_int(val):
                 raise CurvatureError(f"non-integer value {val!r} in 'f'")
             try:
                 v = int(k)
@@ -365,7 +382,7 @@ def certificate_from_json(
             if (
                 not isinstance(entry, list)
                 or len(entry) != 3
-                or not all(_is_json_int(v) for v in entry[:2])
+                or not all(_is_int(v) for v in entry[:2])
             ):
                 raise CurvatureError(f"bad coupling entry {entry!r}")
             u, v, m = entry

@@ -1,20 +1,23 @@
 """Exact optimal transport between probability measures on graph vertices.
 
 Costs are shortest-path distances, read pair by pair from
-`Graph.distance`, and all masses are `fractions.Fraction`, so Wasserstein
-distances come out as exact rationals.  The solver strips the common mass
-(kept in place, which is optimal for metric costs), scales the residual
-problem to integers by the common denominator, and solves it on the
+`Graph.distance`.  A `Measure` holds its masses as positive integer
+numerators over one least common denominator, so the whole transport
+problem runs in integers: both measures are scaled to the lcm of their
+denominators, the common mass is stripped (kept in place, which is
+optimal for metric costs), and the residual problem is solved on the
 bipartite supply/demand network by primal-dual phases: one shortest-path
 pass per phase, then flow pushed along every tight path of the phase's
 length.  For the lazy measures of an edge the residual costs lie in
-{1, 2, 3}, so there are at most three phases.
+{1, 2, 3}, so there are at most three phases.  The one `Fraction` a
+solve builds is its cost; the optimal coupling is kept as integer
+triples and read out as exact `Fraction` entries on demand.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .graph import Graph
@@ -29,39 +32,78 @@ class TransportError(ValueError):
     """Invalid measure, coupling, or transport instance."""
 
 
+def _is_int(v: object) -> bool:
+    """An int that is not a bool: Python's bool is an int, but no bool is
+    a vertex id, and JSON's true is not an integer."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _rational(x: Fraction | int | str, what: str) -> Fraction:
+    """x as an exact Fraction; a float is refused, since the binary value
+    it holds is not the decimal it was written as."""
+    if isinstance(x, float):
+        raise TransportError(
+            f"{what} is a float ({x!r}); give an int, Fraction or str"
+        )
+    return Fraction(x)
+
+
 class Measure:
-    """Finitely supported probability measure on vertex ids."""
+    """Finitely supported probability measure on vertex ids.
 
-    __slots__ = ("_mass",)
+    The masses are held as positive integers `_num[v]` over one common
+    denominator `_den`, the least one, so two measures are equal exactly
+    when their numerators and denominators are.  Reads return `Fraction`
+    values.
+    """
 
-    def __init__(self, mass: Mapping[int, Fraction | int]):
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, mass: Mapping[int, Fraction | int | str]):
         clean: dict[int, Fraction] = {}
         total = ZERO
         for v, m in mass.items():
-            m = Fraction(m)
+            if not _is_int(v):
+                raise TransportError(f"vertex id {v!r} is not an int")
+            m = _rational(m, f"mass at vertex {v}")
             if m < 0:
                 raise TransportError(f"negative mass {m} at vertex {v}")
             if m == 0:
                 continue
-            clean[int(v)] = m
+            clean[v] = m
             total += m
         if total != 1:
             raise TransportError(f"total mass {total}, expected 1")
-        self._mass = clean
+        den = lcm(*(m.denominator for m in clean.values()))
+        self._num = {
+            v: m.numerator * (den // m.denominator) for v, m in clean.items()
+        }
+        self._den = den
+
+    @classmethod
+    def _from_ints(cls, num: dict[int, int], den: int) -> Measure:
+        """The measure num[v]/den, trusted: positive numerators summing to
+        den, with no common factor shared by all of them and den."""
+        self = object.__new__(cls)
+        self._num = num
+        self._den = den
+        return self
 
     def __getitem__(self, v: int) -> Fraction:
-        return self._mass.get(v, ZERO)
+        k = self._num.get(v)
+        return Fraction(k, self._den) if k else ZERO
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._mass))
+        return tuple(sorted(self._num))
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._mass.items())
+        den = self._den
+        return [(v, Fraction(k, den)) for v, k in sorted(self._num.items())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Measure):
             return NotImplemented
-        return self._mass == other._mass
+        return self._den == other._den and self._num == other._num
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}: {m}" for v, m in self.items())
@@ -69,38 +111,63 @@ class Measure:
 
 
 class TransportResult:
-    """Optimal cost together with one optimal coupling."""
+    """Optimal cost together with one optimal coupling.
 
-    __slots__ = ("cost", "plan")
+    The coupling is kept as integer triples (u, v, k), each moving mass
+    k/scale from u to v; `plan` reads it out as the sorted tuple of exact
+    `Fraction` entries.
+    """
 
-    def __init__(self, cost: Fraction, plan: tuple[CouplingEntry, ...]):
+    __slots__ = ("cost", "_pairs", "_scale")
+
+    def __init__(
+        self, cost: Fraction, pairs: list[tuple[int, int, int]], scale: int
+    ):
         self.cost = cost
-        self.plan = plan
+        self._pairs = pairs
+        self._scale = scale
+
+    @property
+    def plan(self) -> tuple[CouplingEntry, ...]:
+        scale = self._scale
+        return tuple(
+            (u, v, Fraction(k, scale)) for u, v, k in sorted(self._pairs)
+        )
 
     def __repr__(self) -> str:
         return f"TransportResult(cost={self.cost}, plan={self.plan})"
 
 
 def vertex_measure(g: Graph, x: int, alpha: Fraction | int | str) -> Measure:
-    """Lazy-walk measure: alpha stays at x, the rest spreads to neighbors."""
-    alpha = Fraction(alpha)
+    """Lazy-walk measure: alpha stays at x, the rest spreads to neighbors.
+
+    With alpha = p/q and d = deg x, x carries p*d and each neighbour q - p
+    units over q*d, reduced by their gcd.
+    """
+    alpha = _rational(alpha, "alpha")
     if not 0 <= alpha <= 1:
         raise TransportError(f"alpha {alpha} outside [0, 1]")
+    if not _is_int(x):
+        raise TransportError(f"vertex id {x!r} is not an int")
     if not 0 <= x < g.n:
         raise TransportError(f"vertex {x} out of range")
-    mass: dict[int, Fraction] = {x: alpha}
-    if alpha < 1:
-        deg = g.degree(x)
-        if deg == 0:
-            raise TransportError(f"vertex {x} has no neighbors to carry mass")
-        share = (1 - alpha) / deg
-        for z in g.adj[x]:
-            mass[z] = share
-    return Measure(mass)
+    if alpha == 1:
+        return Measure._from_ints({x: 1}, 1)
+    d = g.degree(x)
+    if d == 0:
+        raise TransportError(f"vertex {x} has no neighbors to carry mass")
+    p, q = alpha.numerator, alpha.denominator
+    stay, share = p * d, q - p
+    r = gcd(stay, share)
+    share //= r
+    num = dict.fromkeys(g.adj[x], share)
+    if stay:
+        num[x] = stay // r
+    return Measure._from_ints(num, q * d // r)
 
 
 def _check_vertices(g: Graph, mu: Measure) -> None:
-    for v in mu.support():
+    for v in mu._num:
         if not 0 <= v < g.n:
             raise TransportError(f"measure supported on missing vertex {v}")
 
@@ -230,34 +297,38 @@ def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
     """Exact 1-Wasserstein distance and an optimal coupling."""
     _check_vertices(g, mu)
     _check_vertices(g, nu)
-    plan: list[CouplingEntry] = []
-    res_s: dict[int, Fraction] = {}
-    res_d: dict[int, Fraction] = {}
-    for v in set(mu.support()) | set(nu.support()):
-        common = min(mu[v], nu[v])
-        if common > 0:
-            plan.append((v, v, common))
-        if mu[v] > common:
-            res_s[v] = mu[v] - common
-        if nu[v] > common:
-            res_d[v] = nu[v] - common
+    scale = lcm(mu._den, nu._den)
+    a, b = scale // mu._den, scale // nu._den
+    mu_num, nu_num = mu._num, nu._num
+    pairs: list[tuple[int, int, int]] = []
+    res_s: dict[int, int] = {}
+    res_d: dict[int, int] = {}
+    for v, k in mu_num.items():
+        s = k * a
+        t = nu_num.get(v, 0) * b
+        if s > t:
+            res_s[v] = s - t
+        elif t > s:
+            res_d[v] = t - s
+        common = min(s, t)
+        if common:
+            pairs.append((v, v, common))
+    for v, k in nu_num.items():
+        if v not in mu_num:
+            res_d[v] = k * b
     if not res_s:
-        return TransportResult(ZERO, tuple(sorted(plan)))
-    scale = lcm(
-        *(m.denominator for m in res_s.values()),
-        *(m.denominator for m in res_d.values()),
-    )
+        return TransportResult(ZERO, pairs, scale)
     sources = sorted(res_s)
     targets = sorted(res_d)
-    supply = [int(res_s[u] * scale) for u in sources]
-    demand = [int(res_d[v] * scale) for v in targets]
+    supply = [res_s[u] for u in sources]
+    demand = [res_d[v] for v in targets]
     distance = g.distance
     cost = [[distance(u, v) for v in targets] for u in sources]
     total, carried = _min_cost_flow(cost, supply, demand)
-    for j, flows in enumerate(carried):
-        for i, amount in flows.items():
-            plan.append((sources[i], targets[j], Fraction(amount, scale)))
-    return TransportResult(Fraction(total, scale), tuple(sorted(plan)))
+    for v, flows in zip(targets, carried):
+        for i, k in flows.items():
+            pairs.append((sources[i], v, k))
+    return TransportResult(Fraction(total, scale), pairs, scale)
 
 
 def coupling_cost(g: Graph, plan: Iterable[CouplingEntry]) -> Fraction:

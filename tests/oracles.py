@@ -101,6 +101,17 @@ def wasserstein_network_simplex(g: Graph, mu: Measure, nu: Measure) -> Fraction:
     )
 
 
+def vertex_measure_by_definition(
+    g: Graph, x: int, alpha: Fraction
+) -> dict[int, Fraction]:
+    """The lazy-walk measure as plain Fractions: alpha stays at x and
+    (1 - alpha)/deg(x) goes to each neighbour; zero masses are dropped."""
+    mass = {x: Fraction(alpha)}
+    for z in g.adj[x]:
+        mass[z] = (1 - mass[x]) / g.degree(x)
+    return {v: m for v, m in mass.items() if m}
+
+
 def dual_exhaustive(g: Graph, e, value_bound: int = 2) -> Fraction:
     """Minimum of the Laplacian difference over every integer function
     with values in [-value_bound, value_bound], checked 1-Lipschitz
@@ -158,6 +169,15 @@ def random_connected_graph(rng: random.Random, n: int, extra: int) -> Graph:
     rng.shuffle(candidates)
     edges.update(candidates[:extra])
     return Graph(n, edges)
+
+
+def random_gnp_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p): each pair u < v is an edge with probability p, drawn in
+    lexicographic order (Graph refuses a disconnected draw)."""
+    return Graph(
+        n,
+        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+    )
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:

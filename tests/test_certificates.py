@@ -218,6 +218,17 @@ def test_coupling_certificate_rejects_idleness_outside_range():
             coupling_certificate(g, (1, 2), alpha)
 
 
+def test_coupling_certificate_refuses_floats_and_non_int_ids():
+    g = wheel(5).graph
+    for e, alpha in [((1, 2), 0.5), ((True, 2), None), ((1.0, 2), F(1, 2))]:
+        with pytest.raises(CurvatureError):
+            coupling_certificate(g, e, alpha)
+    with pytest.raises(CurvatureError):
+        check_coupling_certificate(
+            g, CouplingCertificate((1, 2), 0.5, ((1, 2, F(1)),))
+        )
+
+
 def test_coupling_certificate_rejects_broken_marginals():
     g = wheel(5).graph
     cert = coupling_certificate(g, (1, 2))
@@ -280,6 +291,12 @@ def test_certificate_json_uses_plain_rationals():
         '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, 1, 1]]}',
         '{"edge": [0, 1], "alpha": "1/3", '
         '"pi": [[0, 1, 0.33333333333333333333]]}',
+        # and strings only as "p/q" or a bare integer, in ASCII digits
+        '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, 1, " 1_0 "]]}',
+        '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, 1, "1e-3"]]}',
+        '{"edge": [0, 1], "alpha": "0.5", "pi": [[0, 1, "1"]]}',
+        '{"edge": [0, 1], "alpha": "1/0_3", "pi": [[0, 1, "1"]]}',
+        '{"edge": [0, 1], "alpha": "1/2", "pi": [[0, 1, "\\u0661"]]}',
     ],
 )
 def test_certificate_json_rejects_malformed(text):

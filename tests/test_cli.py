@@ -2,12 +2,15 @@
 import hashlib
 import io
 import json
+import random
 
 from ricci_halin.cli import main
 from ricci_halin.curvature import coupling_certificate, certificate_to_json, lipschitz_certificate
 from ricci_halin.formats import from_graph6, parse_edge_list, to_graph6, write_edge_list
 from ricci_halin.graph import Graph
 from ricci_halin.halin import wheel
+
+from oracles import random_gnp_graph
 
 
 def cycle6_text():
@@ -169,6 +172,22 @@ def test_enum_output_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "e83b00c49ff0c117acc348ac25809198450447c86aad95e159e5016665eb5e35"
     )
+
+
+def test_curv_json_is_byte_identical(capsys, tmp_path):
+    # pinned exact curvatures: a dense random graph, where every degree
+    # sum is above 14 so only the transport route runs, and W''_10
+    g = random_gnp_graph(random.Random(40), 40, 0.5)
+    assert all(g.degree(x) + g.degree(y) > 14 for x, y in g.edges())
+    path = tmp_path / "dense40.edges"
+    path.write_text(write_edge_list(g), encoding="ascii")
+    for source, digest in [
+        (str(path), "3e745059434b48ec2fd7e0aed81c7f8c89b0665857f12fc6a049dddcd4774290"),
+        ("W2:10", "bde82cf62b5de22137026d627d2986ffa6449daa877e59a9cab1a37a5935d13a"),
+    ]:
+        main(["curv", source, "--format", "json"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_enum_two_workers_match_one(capsys):

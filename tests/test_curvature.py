@@ -87,6 +87,22 @@ def test_kappa_alpha_rejects_bad_input():
         kappa_alpha(g, (0, 2), F(1, 2))  # not an edge
 
 
+@pytest.mark.parametrize(
+    "e,alpha",
+    [((0, 1), 0.1), ((0, 1), 1.0), ((True, 2), F(1, 2)), ((0, 1.0), F(1, 2))],
+)
+def test_kappa_alpha_refuses_floats_and_non_int_ids(e, alpha):
+    # 0.1 used to spread 3602879701896397/36028797018963968
+    with pytest.raises(CurvatureError):
+        kappa_alpha(cycle(5), e, alpha)
+
+
+def test_kappa_alpha_accepts_int_fraction_and_str_alpha():
+    g = cycle(5)
+    assert kappa_alpha(g, (0, 1), "1/3") == kappa_alpha(g, [0, 1], F(1, 3))
+    assert kappa_alpha(g, (0, 1), 1) == 0
+
+
 def test_wheel5_hub_alpha_quarter():
     g = wheel(5).graph
     assert kappa_alpha(g, (0, 1), F(1, 4)) == F(3, 4)

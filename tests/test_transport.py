@@ -1,8 +1,11 @@
 """Exact Wasserstein distances, measures, and coupling validation."""
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_halin.graph import Graph
 from ricci_halin.halin import wheel
@@ -18,8 +21,10 @@ from ricci_halin.transport import (
 
 from oracles import (
     random_connected_graph,
+    random_gnp_graph,
     random_measure,
     transportation_network_simplex,
+    vertex_measure_by_definition,
     wasserstein_exhaustive,
     wasserstein_network_simplex,
 )
@@ -65,6 +70,79 @@ def test_vertex_measure_rejects_bad_alpha_and_vertex():
         vertex_measure(g, 0, -1)
     with pytest.raises(TransportError):
         vertex_measure(g, 7, F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "mass",
+    [
+        {1.5: 1},  # used to become a point mass at vertex 1
+        {"2": 1},
+        {True: 1},
+        {0: F(1, 2), None: F(1, 2)},
+        {0: 0.5, 1: 0.5},  # a float mass
+        {0: F(1, 2), 1: 0.5},
+    ],
+)
+def test_measure_refuses_floats_and_non_int_ids(mass):
+    with pytest.raises(TransportError):
+        Measure(mass)
+
+
+def test_vertex_measure_refuses_floats_and_non_int_ids():
+    g = cycle(4)
+    for x, alpha in [(1, 0.1), (1, 0.5), (1, 1.0), (True, F(1, 2)), (1.0, 0)]:
+        with pytest.raises(TransportError):
+            vertex_measure(g, x, alpha)
+
+
+def test_measure_accepts_int_fraction_and_str_masses():
+    m = Measure({0: "1/2", 1: F(1, 4), 2: "1/4", 3: 0})
+    assert m == Measure({0: F(2, 4), 1: F(1, 4), 2: F(1, 4)})
+    assert Measure({5: 1}).items() == [(5, F(1))]
+    g = cycle(4)
+    assert vertex_measure(g, 1, "1/3") == vertex_measure(g, 1, F(1, 3))
+
+
+def test_vertex_measure_reduces_by_the_gcd():
+    # alpha = 1/3 at a degree-2 vertex: 2/6 at x and 2/6 at each
+    # neighbour, held as 1 + 1 + 1 over 3
+    m = vertex_measure(cycle(5), 0, F(1, 3))
+    assert m._den == 3 and m._num == {0: 1, 1: 1, 4: 1}
+    assert m == Measure({0: F(1, 3), 1: F(1, 3), 4: F(1, 3)})
+    # alpha = 0 leaves x out, and alpha = 1 is the point mass
+    assert vertex_measure(cycle(5), 0, 0).support() == (1, 4)
+    assert vertex_measure(cycle(5), 0, 1)._num == {0: 1}
+
+
+ALPHAS = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.integers(1, 12).flatmap(
+        lambda q: st.integers(0, q).map(lambda p: F(p, q))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    alpha=ALPHAS,
+    as_str=st.booleans(),
+)
+def test_vertex_measure_matches_definition(seed, n, alpha, as_str):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, rng.randint(0, n))
+    x = rng.randrange(n)
+    m = vertex_measure(g, x, str(alpha) if as_str else alpha)
+    want = vertex_measure_by_definition(g, x, alpha)
+    assert [m[v] for v in range(n + 2)] == [want.get(v, 0) for v in range(n + 2)]
+    assert m.support() == tuple(sorted(want))
+    assert m.items() == sorted(want.items())
+    assert m == Measure(want) and Measure(want) == m
+    # the denominator is the least one, so == compares exact values
+    assert m._den == lcm(*(f.denominator for f in want.values()))
+    assert all(k > 0 for k in m._num.values())
+    assert sum(m._num.values()) == m._den
 
 
 def test_wasserstein_point_masses_is_distance():
@@ -227,6 +305,21 @@ def test_returned_plan_is_a_coupling_with_matching_cost():
         r = wasserstein(g, mu, nu)
         assert check_coupling(g, mu, nu, r.plan) == r.cost
         assert all(m > 0 for _, _, m in r.plan)
+
+
+def test_plans_on_a_dense_random_graph_are_sorted_positive_couplings():
+    # every degree sum is above 14, as on the curv-dense benchmark input
+    g = random_gnp_graph(random.Random(40), 40, 0.5)
+    for x, y in g.edges()[::7]:
+        assert g.degree(x) + g.degree(y) > 14
+        alpha = F(1, max(g.degree(x), g.degree(y)) + 1)
+        mu = vertex_measure(g, x, alpha)
+        nu = vertex_measure(g, y, alpha)
+        r = wasserstein(g, mu, nu)
+        plan = r.plan
+        assert list(plan) == sorted(plan)
+        assert all(type(m) is Fraction and m > 0 for _, _, m in plan)
+        assert check_coupling(g, mu, nu, plan) == r.cost
 
 
 def test_check_coupling_rejects_wrong_marginals():
