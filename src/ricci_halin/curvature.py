@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import Graph, edge_in_c3_or_c4, require_edge
+from .graph import Graph, _is_int, edge_in_c3_or_c4, require_edge
 from .transport import (
     CouplingEntry,
     Measure,
-    _is_int,
     check_coupling,
     vertex_measure,
     wasserstein,
@@ -54,13 +53,16 @@ DEFAULT_ORACLE_THRESHOLD = 14
 
 def critical_alpha(g: Graph, e: Sequence[int]) -> Fraction:
     """The idleness at which one exact evaluation gives the LLY value."""
-    x, y = require_edge(g, e)
+    return _critical_alpha(g, *require_edge(g, e))
+
+
+def _critical_alpha(g: Graph, x: int, y: int) -> Fraction:
     return Fraction(1, max(g.degree(x), g.degree(y)) + 1)
 
 
 def _transport_edge(g: Graph, e: Sequence[int]) -> tuple[int, int]:
-    """require_edge for the transport route, whose measures take int
-    vertex ids only: a float or bool end is refused up front."""
+    """require_edge for the transport route, which refuses a float or
+    bool end as a CurvatureError, like its other bad inputs."""
     if isinstance(e, (tuple, list)) and not all(map(_is_int, e)):
         raise CurvatureError(f"edge {e!r}: vertex ids must be ints")
     return require_edge(g, e)
@@ -81,14 +83,19 @@ def kappa_alpha(
     alpha = _alpha(alpha)
     if not 0 <= alpha <= 1:
         raise CurvatureError(f"alpha {alpha} outside [0, 1]")
+    return _kappa_alpha(g, x, y, alpha)
+
+
+def _kappa_alpha(g: Graph, x: int, y: int, alpha: Fraction) -> Fraction:
     mx = vertex_measure(g, x, alpha)
     my = vertex_measure(g, y, alpha)
     return 1 - wasserstein(g, mx, my).cost
 
 
 def kappa_lly(g: Graph, e: Sequence[int]) -> Fraction:
-    alpha = critical_alpha(g, e)
-    return kappa_alpha(g, e, alpha) / (1 - alpha)
+    x, y = _transport_edge(g, e)  # the one check of the edge
+    alpha = _critical_alpha(g, x, y)
+    return _kappa_alpha(g, x, y, alpha) / (1 - alpha)
 
 
 def _dual_search(
@@ -233,9 +240,11 @@ def check_lipschitz_certificate(
     if missing:
         raise CurvatureError(f"certificate misses vertices {sorted(missing)}")
     for v, val in f.items():
+        if not _is_int(v):
+            raise CurvatureError(f"vertex id {v!r} is not an int")
         if not 0 <= v < g.n:
             raise CurvatureError(f"certificate names missing vertex {v}")
-        if not isinstance(val, int):
+        if not _is_int(val):
             raise CurvatureError(f"non-integer value {val!r} at vertex {v}")
     if f[y] - f[x] != 1:
         raise CurvatureError(f"f(y)-f(x) = {f[y] - f[x]}, expected 1")
@@ -272,7 +281,7 @@ def check_coupling_certificate(
     g: Graph, cert: CouplingCertificate
 ) -> Fraction:
     """Validate and evaluate: returns the certified lower bound on curvature."""
-    x, y = require_edge(g, cert.edge)
+    x, y = _transport_edge(g, cert.edge)
     alpha = _idleness(g, cert.edge, cert.alpha)
     mx = vertex_measure(g, x, alpha)
     my = vertex_measure(g, y, alpha)

@@ -1,15 +1,16 @@
 """Plane trees and the leaf-cycle construction.
 
-A plane tree here is a rooted tree with an ordered child list per vertex
-(the planar embedding), built from a shape: nested tuples, numbered in
-preorder.  Joining its leaves by a cycle in contour order (depth-first,
-children left to right; a degree-1 root is itself a leaf and comes
-first), which is ascending id order, produces a generalized Halin graph.
-The walk that numbers a `PlaneTree` also keeps its leaves (`leaves`)
-and its smallest vertex of maximum degree (`hub`); the builders and the
-layout predicates read those two fields.  The module also builds the
-three wheel families and evaluates the structural predicates that
-certify non-positive curvature from the tree layout alone.
+A plane tree here is a rooted tree with ordered children (the planar
+embedding), built from a shape: nested tuples, numbered in preorder and
+held as one tuple `parent`, so parent[v] < v.  Joining its leaves by a
+cycle in contour order (depth-first, children left to right; a degree-1
+root is itself a leaf and comes first), which is ascending id order,
+produces a generalized Halin graph.  The walk that numbers a `PlaneTree`
+also keeps its leaves (`leaves`) and its smallest vertex of maximum
+degree (`hub`); the builders and the layout predicates read those two
+fields.  The module also builds the three wheel families and evaluates
+the structural predicates that certify non-positive curvature from the
+tree layout alone.
 """
 from __future__ import annotations
 
@@ -26,9 +27,10 @@ class HalinError(ValueError):
 
 class PlaneTree:
     """Rooted ordered tree on vertices 0..n-1, numbered in preorder from
-    the root 0, so parent[v] < v; `from_shape` is its one constructor."""
+    the root 0 and held as its parent tuple (parent[0] = -1, else
+    parent[v] < v); `from_shape` is its one constructor."""
 
-    __slots__ = ("n", "children", "parent", "leaves", "hub")
+    __slots__ = ("n", "parent", "leaves", "hub")
 
     @classmethod
     def from_shape(cls, shape: Shape) -> "PlaneTree":
@@ -36,7 +38,6 @@ class PlaneTree:
         records the leaves and the hub (the first vertex of maximum
         degree).  Paths are accepted; anything in a shape that is not a
         tuple raises HalinError."""
-        children: list[list[int]] = []
         parent: list[int] = []
         leaves = []
         hub, top = 0, -1
@@ -51,9 +52,6 @@ class PlaneTree:
                 )
             v = len(parent)
             parent.append(up)
-            children.append([])
-            if up >= 0:
-                children[up].append(v)
             d = len(sub) + (up >= 0)
             if d == 1:
                 leaves.append(v)
@@ -63,14 +61,13 @@ class PlaneTree:
             ups.extend([v] * len(sub))
         t = cls.__new__(cls)
         t.n = len(parent)
-        t.children = tuple(map(tuple, children))
         t.parent = tuple(parent)
         t.leaves = tuple(leaves)
         t.hub = hub
         return t
 
     def tree_degree(self, v: int) -> int:
-        return len(self.children[v]) + (1 if v != 0 else 0)
+        return self.parent.count(v) + (v != 0)
 
     def max_degree(self) -> int:
         return self.tree_degree(self.hub)
@@ -82,7 +79,7 @@ class PlaneTree:
         return tuple(zip(self.parent[1:], range(1, self.n)))
 
     def __repr__(self) -> str:
-        return f"PlaneTree(n={self.n}, children={self.children})"
+        return f"PlaneTree(n={self.n}, parent={self.parent})"
 
 
 @dataclass(frozen=True)
@@ -164,20 +161,21 @@ class ComponentProfile:
 
 
 def tree_profile(t: PlaneTree) -> ComponentProfile:
-    hub = t.hub
-    # one walk from the hub: tree distance, and the branch id (the hub's
-    # tree neighbour that leads to the vertex); the root's parent is -1
+    hub, parent = t.hub, t.parent
+    # tree distance from the hub and branch id (the hub's tree neighbour
+    # leading to the vertex): up the hub's ancestors, whose branch is the
+    # hub's parent, then one pass in id order, as parent[v] < v
     dist = [-1] * t.n
     branch = [-1] * t.n
-    dist[hub] = 0
-    stack = [hub]
-    while stack:
-        v = stack.pop()
-        for w in (*t.children[v], t.parent[v]):
-            if w >= 0 and dist[w] < 0:
-                dist[w] = dist[v] + 1
-                branch[w] = w if v == hub else branch[v]
-                stack.append(w)
+    a, d = hub, 0
+    while a >= 0:
+        dist[a], branch[a] = d, parent[hub]
+        a, d = parent[a], d + 1
+    for v in range(1, t.n):
+        if dist[v] < 0:
+            p = parent[v]
+            dist[v] = dist[p] + 1
+            branch[v] = v if p == hub else branch[p]
     leaves = t.leaves
     # rotate so a component boundary sits at position 0, then cut into runs
     k = len(leaves)

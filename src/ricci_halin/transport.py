@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .graph import Graph
+from .graph import Graph, _is_int
 
 ZERO = Fraction(0)
 
@@ -30,12 +30,6 @@ CouplingEntry = tuple[int, int, Fraction]
 
 class TransportError(ValueError):
     """Invalid measure, coupling, or transport instance."""
-
-
-def _is_int(v: object) -> bool:
-    """An int that is not a bool: Python's bool is an int, but no bool is
-    a vertex id, and JSON's true is not an integer."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _rational(x: Fraction | int | str, what: str) -> Fraction:

@@ -198,6 +198,22 @@ def random_measure(rng: random.Random, g: Graph, max_support: int, total: int) -
     )
 
 
+def child_lists(shape) -> tuple[tuple[int, ...], ...]:
+    """Child lists of a shape (nested tuples), its vertices numbered by a
+    recursive preorder from the root 0, children left to right."""
+    children: list[list[int]] = []
+
+    def number(sub) -> int:
+        v = len(children)
+        children.append([])
+        for c in sub:
+            children[v].append(number(c))
+        return v
+
+    number(shape)
+    return tuple(map(tuple, children))
+
+
 def contour_leaves_by_recursion(children) -> tuple[int, ...]:
     """Leaves of a plane tree (child lists, root 0) in contour order: a
     recursive preorder, children left to right; a degree-1 root counts."""
@@ -213,10 +229,11 @@ def contour_leaves_by_recursion(children) -> tuple[int, ...]:
     return tuple(out)
 
 
-def lemma33_by_leaf_order(children) -> bool:
-    """Lemma 3.3 by its definition: walk the cycle through the leaves in
-    contour order and test every cycle edge whose ends lie in different
-    branches at the hub (the smallest vertex of maximum tree degree)."""
+def hub_bfs(children) -> tuple[int, dict[int, int], dict[int, int | None]]:
+    """(hub, dist, branch) of a plane tree given by child lists: the hub
+    is the smallest vertex of maximum tree degree, and a BFS from it
+    gives each vertex's tree distance and branch (the hub's neighbour
+    that leads to it)."""
     n = len(children)
     adj: list[set[int]] = [set() for _ in range(n)]
     for v, kids in enumerate(children):
@@ -233,6 +250,30 @@ def lemma33_by_leaf_order(children) -> bool:
                 dist[w] = dist[u] + 1
                 branch[w] = w if u == hub else branch[u]
                 queue.append(w)
+    return hub, dist, branch
+
+
+def lemma32_by_leaf_order(children) -> bool:
+    """Lemma 3.2 by its definition: cut the leaves, in contour order,
+    into maximal cyclic runs of one branch at the hub, and look for two
+    cyclically adjacent runs of at least 2 leaves each."""
+    _, _, branch = hub_bfs(children)
+    leaves = contour_leaves_by_recursion(children)
+    runs = [len(list(grp)) for _, grp in
+            itertools.groupby(leaves, key=branch.__getitem__)]
+    if len(runs) > 1 and branch[leaves[0]] == branch[leaves[-1]]:
+        runs[0] += runs.pop()  # the run through the cycle's closing edge
+    r = len(runs)
+    return r > 1 and any(
+        runs[i] >= 2 and runs[(i + 1) % r] >= 2 for i in range(r)
+    )
+
+
+def lemma33_by_leaf_order(children) -> bool:
+    """Lemma 3.3 by its definition: walk the cycle through the leaves in
+    contour order and test every cycle edge whose ends lie in different
+    branches at the hub (the smallest vertex of maximum tree degree)."""
+    _, dist, branch = hub_bfs(children)
     leaves = contour_leaves_by_recursion(children)
     k = len(leaves)
     return any(

@@ -205,6 +205,15 @@ def test_lipschitz_certificate_rejects_bad_values():
     fractional[0] = 0.5
     with pytest.raises(CurvatureError, match="non-integer"):
         check_lipschitz_certificate(g, LipschitzCertificate((1, 2), fractional))
+    # the JSON reader's rule: a bool is no integer, a float no vertex id
+    bool_value = dict(good)
+    bool_value[2] = True  # f(2) = 1, as a bool
+    with pytest.raises(CurvatureError, match="non-integer value True"):
+        check_lipschitz_certificate(g, LipschitzCertificate((1, 2), bool_value))
+    float_key = dict(good)
+    float_key[3.0] = float_key.pop(3)
+    with pytest.raises(CurvatureError, match="vertex id 3.0 is not an int"):
+        check_lipschitz_certificate(g, LipschitzCertificate((1, 2), float_key))
 
 
 def test_coupling_certificate_rejects_idleness_outside_range():
@@ -227,6 +236,12 @@ def test_coupling_certificate_refuses_floats_and_non_int_ids():
         check_coupling_certificate(
             g, CouplingCertificate((1, 2), 0.5, ((1, 2, F(1)),))
         )
+    cert = coupling_certificate(g, (1, 2))
+    for e in [(True, 2), (1, 2.0)]:
+        with pytest.raises(CurvatureError, match="vertex ids must be ints"):
+            check_coupling_certificate(
+                g, CouplingCertificate(e, cert.alpha, cert.pi)
+            )
 
 
 def test_coupling_certificate_rejects_broken_marginals():

@@ -16,6 +16,7 @@ from ricci_halin.curvature import (
     kappa_alpha,
     kappa_lly,
     kappa_lly_dual,
+    lipschitz_certificate,
 )
 from ricci_halin.graph import Graph, GraphError
 from ricci_halin.halin import wheel
@@ -95,6 +96,18 @@ def test_kappa_alpha_refuses_floats_and_non_int_ids(e, alpha):
     # 0.1 used to spread 3602879701896397/36028797018963968
     with pytest.raises(CurvatureError):
         kappa_alpha(cycle(5), e, alpha)
+
+
+@pytest.mark.parametrize("e", [(0, 1.0), (True, 2), (1, False)])
+def test_every_edge_query_refuses_float_and_bool_ids(e):
+    g = wheel(5).graph
+    with pytest.raises(CurvatureError, match="vertex ids must be ints"):
+        kappa_lly(g, e)
+    queries = (kappa_lly_dual, lipschitz_certificate, c3c4_upper_bound,
+               critical_alpha)
+    for query in queries:
+        with pytest.raises(GraphError, match="vertex ids must be ints"):
+            query(g, e)
 
 
 def test_kappa_alpha_accepts_int_fraction_and_str_alpha():

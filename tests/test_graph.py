@@ -149,6 +149,16 @@ def test_require_edge_accepts_and_rejects():
         require_edge(g, (0, 2))
     with pytest.raises(GraphError):
         require_edge(g, (0, 1, 2))
+    for e in [(True, 2), (0, 1.0), (1.5, 2)]:
+        with pytest.raises(GraphError, match="vertex ids must be ints"):
+            require_edge(g, e)
+
+
+def test_rejects_float_and_bool_vertex_ids():
+    # a bool used to be stored as a vertex, and a float to raise TypeError
+    for edges in [[(False, True), (1, 2)], [(0, 1), (1.0, 2)], [(0, 1.5)]]:
+        with pytest.raises(GraphError, match="vertex ids must be ints"):
+            Graph(3, edges)
 
 
 def test_c3c4_membership_hand_cases():

@@ -22,7 +22,13 @@ from ricci_halin.halin import (
     wheel_sub2,
 )
 
-from oracles import contour_leaves_by_recursion, lemma33_by_leaf_order
+from oracles import (
+    child_lists,
+    contour_leaves_by_recursion,
+    hub_bfs,
+    lemma32_by_leaf_order,
+    lemma33_by_leaf_order,
+)
 
 
 def random_shape(rng, n):
@@ -40,8 +46,8 @@ def random_shape(rng, n):
 def test_plane_tree_from_shape_uses_preorder_ids():
     t = PlaneTree.from_shape(((), ((), ()), ()))
     assert t.n == 6
-    assert t.children == ((1, 2, 5), (), (3, 4), (), (), ())
     assert t.parent == (-1, 0, 0, 2, 2, 0)
+    assert repr(t) == "PlaneTree(n=6, parent=(-1, 0, 0, 2, 2, 0))"
     assert t.tree_degree(0) == 3 and t.tree_degree(2) == 3
     assert t.is_leaf(1) and not t.is_leaf(2)
 
@@ -220,12 +226,16 @@ def test_profile_groups_leaves_by_branch():
 
 def hub_neighbour_towards(t, hub, v):
     """The hub's tree neighbour on the path from v to the hub."""
+    adj = {u: set() for u in range(t.n)}
+    for a, b in t.tree_edges():
+        adj[a].add(b)
+        adj[b].add(a)
     prev = {v: None}
     stack = [v]
     while stack:
         u = stack.pop()
-        for w in (*t.children[u], t.parent[u]):
-            if w >= 0 and w not in prev:
+        for w in adj[u]:
+            if w not in prev:
                 prev[w] = u
                 stack.append(w)
     return prev[hub]
@@ -259,10 +269,14 @@ def test_layout_matches_leaf_order_reference_on_all_small_shapes():
             t = PlaneTree.from_shape(shape)
             if t.max_degree() < 3:
                 continue
-            assert t.leaves == contour_leaves_by_recursion(t.children)
-            assert lemma33_violated(tree_profile(t)) == lemma33_by_leaf_order(
-                t.children
-            )
+            children = child_lists(shape)
+            p = tree_profile(t)
+            hub, dist, _ = hub_bfs(children)
+            assert t.leaves == contour_leaves_by_recursion(children)
+            assert p.hub == hub
+            assert p.tree_dist == tuple(dist[v] for v in range(t.n))
+            assert lemma32_violated(p) == lemma32_by_leaf_order(children)
+            assert lemma33_violated(p) == lemma33_by_leaf_order(children)
             checked += 1
     # Catalan(n - 1) shapes per n, less the n - 1 shapes of a path
     assert checked == sum((5, 14, 42, 132, 429, 1430, 4862)) - sum(range(3, 10))
