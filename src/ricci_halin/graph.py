@@ -48,8 +48,7 @@ class Graph:
             raise GraphError(f"vertex count must be positive, got {n}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            # the _is_int rule, with plain ints on a fast path
-            if not (type(u) is int is type(v) or _is_int(u) and _is_int(v)):
+            if not (_is_int(u) and _is_int(v)):
                 raise GraphError(f"edge ({u!r},{v!r}): vertex ids must be ints")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
@@ -188,7 +187,7 @@ def require_edge(g: Graph, e: Sequence[int]) -> tuple[int, int]:
         x, y = e
     except (TypeError, ValueError):
         raise GraphError(f"not an edge pair: {e!r}") from None
-    if not (type(x) is int is type(y) or _is_int(x) and _is_int(y)):
+    if not (_is_int(x) and _is_int(y)):
         raise GraphError(f"edge {e!r}: vertex ids must be ints")
     if not g.has_edge(x, y):
         raise GraphError(f"({x},{y}) is not an edge of the graph")
