@@ -200,11 +200,14 @@ def c3c4_upper_bound(g: Graph, e: Sequence[int]) -> Fraction | None:
     if edge_in_c3_or_c4(g, e):  # raises GraphError unless e is an edge
         return None
     x, y = e
-    dx, dy = g.degree(x), g.degree(y)
-    return min(
-        Fraction(1, dx) + Fraction(2, dy) - 1,
-        Fraction(1, dy) + Fraction(2, dx) - 1,
-    )
+    return Fraction(*degree_bound(g.degree(x), g.degree(y)))
+
+
+def degree_bound(dx: int, dy: int) -> tuple[int, int]:
+    """min(1/dx + 2/dy, 1/dy + 2/dx) - 1, the curvature bound of an edge
+    with end degrees dx and dy on no triangle or quadrilateral, as
+    (numerator, dx*dy): its sign is the numerator's."""
+    return dx + dy + min(dx, dy) - dx * dy, dx * dy
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Exhaustive classification of generalized Halin graphs by curvature.
 
 Every rooted ordered tree on n vertices (Catalan many) that is not a
-path yields one generalized Halin graph; the sweep builds each tree and
-skips the paths.  Sweeping all of them for n <= n_max covers
-every planar embedding, and graph-level canonical forms collapse the
-massive over-generation into isomorphism classes.  Optional pruning
-discards trees that certify a non-positively curved edge before any
-exact computation happens: the layout rules (Lemmas 3.2 and 3.3) read
-only the tree and run before its Graph is built, and the C3/C4 degree
-bound runs on the Graph of each tree they keep.
+path yields one generalized Halin graph.  Sweeping all of them for
+n <= n_max covers every planar embedding, and graph-level canonical
+forms collapse the massive over-generation into isomorphism classes.
+The sweep streams the trees from `plane_trees` in units that share a
+preorder prefix, and skips the paths.  Optional pruning discards trees
+that certify a non-positively curved edge before any exact computation
+happens: the layout rules (Lemmas 3.2 and 3.3) read only the tree, and
+the C3/C4 degree bound reads the neighbour bitmasks of each tree they
+keep, in integers; no Graph is built for a tree in the sweep.
 
 Curvature reports for surviving classes are computed on the canonically
 relabeled representative so that serialized output is deterministic.
@@ -17,12 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .canonical import canonical_certificate, canonical_form
-from .curvature import CurvatureReport, c3c4_upper_bound, curvature_report
+from .curvature import (
+    CurvatureReport,
+    c3c4_upper_bound,  # not called here: perfbench traces this name
+    curvature_report,
+    degree_bound,
+)
 from .formats import from_graph6, pack_graph6
-from .graph import Graph
+from .graph import Graph, in_c3_or_c4
 from .halin import (
     HalinGraph,
     PlaneTree,
@@ -32,6 +38,7 @@ from .halin import (
     is_halin,
     lemma32_violated,
     lemma33_violated,
+    plane_trees,
     tree_profile,
     wheel,
     wheel_sub1,
@@ -39,25 +46,10 @@ from .halin import (
 )
 
 
-@lru_cache(maxsize=None)
-def _forests(total: int) -> tuple[Shape, ...]:
-    """All ordered forests with `total` vertices; a forest is a shape's
-    child tuple, so shapes on n vertices are exactly _forests(n-1)."""
-    if total == 0:
-        return ((),)
-    out = []
-    for head_size in range(1, total + 1):
-        for head in _forests(head_size - 1):
-            for rest in _forests(total - head_size):
-                out.append((head,) + rest)
-    return tuple(out)
-
-
 def ordered_tree_shapes(n: int) -> tuple[Shape, ...]:
-    """Every rooted ordered tree on n vertices, Catalan(n-1) of them."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return _forests(n - 1)
+    """Every rooted ordered tree on n vertices, Catalan(n-1) of them, in
+    increasing order."""
+    return tuple(t.shape() for t in plane_trees(n))
 
 
 @dataclass(frozen=True)
@@ -130,17 +122,12 @@ class ClassificationResult:
         return tuple(e for e in self.classes if e.halin)
 
 
-def _sweep_shapes(n_max: int) -> list[Shape]:
-    """The shapes the sweep examines: ordered trees on 4..n_max vertices."""
-    return [s for n in range(4, n_max + 1) for s in ordered_tree_shapes(n)]
-
-
 def distinct_halin_graphs(n_max: int) -> Iterator[HalinGraph]:
     """One representative per isomorphism class, all curvature signs,
     ordered by (n, canonical form)."""
-    survivors, _, _ = _classify_chunk((_sweep_shapes(n_max), False))
-    for _key, shape in sorted(survivors.items()):
-        yield build_halin(PlaneTree.from_shape(shape))
+    survivors, _, _ = _survivors(_units(n_max, False), 1)
+    for _key, t in sorted(survivors.items()):
+        yield build_halin(t)
 
 
 def _layout_prunes(t: PlaneTree) -> bool:
@@ -149,11 +136,16 @@ def _layout_prunes(t: PlaneTree) -> bool:
     return lemma32_violated(p) or lemma33_violated(p)
 
 
-def _degree_bound_prunes(g: Graph) -> bool:
-    """The C3/C4 degree bound certifies kappa <= 0 on some edge of g."""
-    for e in g.edges():
-        bound = c3c4_upper_bound(g, e)
-        if bound is not None and bound <= 0:
+def _degree_bound_prunes(
+    masks: Sequence[int], edges: Iterable[tuple[int, int]]
+) -> bool:
+    """The C3/C4 degree bound certifies kappa <= 0 on some edge of the
+    graph with neighbour bitmasks `masks`."""
+    deg = [m.bit_count() for m in masks]
+    for x, y in edges:
+        if degree_bound(deg[x], deg[y])[0] <= 0 and not in_c3_or_c4(
+            masks, x, y
+        ):
             return True
     return False
 
@@ -166,42 +158,69 @@ def prune_negative(t: PlaneTree, g: Graph) -> bool:
     Sound, not complete: wheels near the positivity boundary pass the
     lemmas and are settled by exact computation.
     """
-    return _layout_prunes(t) or _degree_bound_prunes(g)
+    return _layout_prunes(t) or _degree_bound_prunes(g._masks, g.edges())
 
 
 def _keep_least(
-    survivors: dict[tuple[int, int], Shape], key: tuple[int, int], shape: Shape
+    survivors: dict[tuple[int, int], PlaneTree],
+    key: tuple[int, int],
+    t: PlaneTree,
 ) -> None:
-    """Keep the lexicographically least generating shape per class."""
+    """Keep the least generating tree per class, by `parent` (for one n,
+    the order of their shapes)."""
     old = survivors.get(key)
-    if old is None or shape < old:
-        survivors[key] = shape
+    if old is None or t.parent < old.parent:
+        survivors[key] = t
+
+
+# a unit holds the trees on n vertices that share their first n - 6
+# vertices: at most 9 996 of them at n = 13, so a pool stays balanced
+_UNIT_FREE = 6
+
+_Unit = tuple[int, tuple[int, ...], bool]  # n, parent prefix, use_pruning
+
+
+def _units(n_max: int, use_pruning: bool) -> list[_Unit]:
+    """The sweep's work units: their trees part the trees on 4..n_max
+    vertices.  The largest n come first, so that a pool ends on small
+    units."""
+    return [
+        (n, t.parent, use_pruning)
+        for n in range(n_max, 3, -1)
+        for t in plane_trees(max(1, n - _UNIT_FREE))
+    ]
 
 
 def _classify_chunk(
-    args: tuple[list[Shape], bool]
-) -> tuple[dict[tuple[int, int], Shape], int, int]:
-    """Map a batch of shapes to {(n, certificate): least shape}."""
-    shapes, use_pruning = args
-    survivors: dict[tuple[int, int], Shape] = {}
+    unit: _Unit,
+) -> tuple[dict[tuple[int, int], PlaneTree], int, int]:
+    """Map the trees on n vertices whose parent tuple starts with
+    `prefix` to {(n, certificate): least tree}, with the counts of
+    trees pruned and of trees examined (those of max degree >= 3)."""
+    n, prefix, use_pruning = unit
+    survivors: dict[tuple[int, int], PlaneTree] = {}
     pruned = 0
     generated = 0
-    for shape in shapes:
-        t = PlaneTree.from_shape(shape)
-        if t.max_degree() < 3:
+    for t in plane_trees(n, prefix):
+        if len(t.leaves) < 3:  # a path, of max degree < 3
             continue
         generated += 1
         tree_e, cycle_e = halin_edges(t)
-        # prune_negative's rules in its order; no Graph for layout-pruned trees
+        # prune_negative's rules in its order
         if use_pruning and _layout_prunes(t):
             pruned += 1
             continue
-        g = Graph(t.n, tree_e + cycle_e)
-        if use_pruning and _degree_bound_prunes(g):
+        # cycle edges first: the degree bound most often certifies one
+        edges = cycle_e + tree_e
+        masks = [0] * n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        if use_pruning and _degree_bound_prunes(masks, edges):
             pruned += 1
             continue
-        key = (t.n, canonical_certificate(t.n, list(g._masks)))
-        _keep_least(survivors, key, shape)
+        key = (n, canonical_certificate(n, masks))
+        _keep_least(survivors, key, t)
     return survivors, pruned, generated
 
 
@@ -218,21 +237,33 @@ def family_counts(
 
 
 def _sweep(
-    shapes: list[Shape], use_pruning: bool, workers: int
-) -> Iterator[tuple[dict[tuple[int, int], Shape], int, int]]:
-    """Each chunk's result: one chunk in-process for workers <= 1, else
-    chunks of len // (workers * 8) shapes on a pool, in any order."""
+    units: list[_Unit], workers: int
+) -> Iterator[tuple[dict[tuple[int, int], PlaneTree], int, int]]:
+    """Each unit's result: in-process for workers <= 1, else on a pool
+    of that many, in any order."""
     if workers <= 1:
-        yield _classify_chunk((shapes, use_pruning))
+        yield from map(_classify_chunk, units)
         return
     import multiprocessing as mp
 
-    size = max(1, len(shapes) // (workers * 8))
-    chunks = [
-        (shapes[i:i + size], use_pruning) for i in range(0, len(shapes), size)
-    ]
     with mp.Pool(workers) as pool:
-        yield from pool.imap_unordered(_classify_chunk, chunks)
+        yield from pool.imap_unordered(_classify_chunk, units)
+
+
+def _survivors(
+    units: list[_Unit], workers: int
+) -> tuple[dict[tuple[int, int], PlaneTree], int, int]:
+    """{(n, certificate): least tree} over the units, with the counts of
+    trees pruned and examined; the same in any order of results."""
+    survivors: dict[tuple[int, int], PlaneTree] = {}
+    pruned = 0
+    generated = 0
+    for part, p, g in _sweep(units, workers):
+        for key, t in part.items():
+            _keep_least(survivors, key, t)
+        pruned += p
+        generated += g
+    return survivors, pruned, generated
 
 
 def enumerate_halin(
@@ -241,14 +272,9 @@ def enumerate_halin(
     """Classify all generalized Halin graphs on at most n_max vertices."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
-    survivors: dict[tuple[int, int], Shape] = {}
-    pruned = 0
-    generated = 0
-    for part, p, g in _sweep(_sweep_shapes(n_max), use_pruning, workers):
-        for key, shape in part.items():
-            _keep_least(survivors, key, shape)
-        pruned += p
-        generated += g
+    survivors, pruned, generated = _survivors(
+        _units(n_max, use_pruning), workers
+    )
 
     positives: list[ClassEntry] = []
     zeros: list[ClassEntry] = []
@@ -257,7 +283,7 @@ def enumerate_halin(
     # canonical graph6 string has the same length, and its body is the
     # certificate's bits, big-endian.  So both lists come out sorted, and
     # sporadic positives are numbered in that order.
-    for (n, cert), shape in sorted(survivors.items()):
+    for (n, cert), t in sorted(survivors.items()):
         # the key's certificate is the class's canonical form, unpacked
         cert_bytes = pack_graph6(n, cert, n * (n - 1) // 2)
         canon = from_graph6(cert_bytes)
@@ -275,7 +301,7 @@ def enumerate_halin(
             report=report,
             family=family,
             halin=is_halin(canon),
-            source_shape=shape,
+            source_shape=t.shape(),
         )
         if report.min_curvature > 0:
             positives.append(entry)

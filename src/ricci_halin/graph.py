@@ -152,7 +152,11 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and 0 <= u < self.n and v in self.adj[u]
+        """False for anything but two adjacent vertex ids."""
+        return (
+            _is_int(u) and _is_int(v) and u != v and 0 <= u < self.n
+            and v in self.adj[u]
+        )
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v."""
@@ -195,20 +199,26 @@ def require_edge(g: Graph, e: Sequence[int]) -> tuple[int, int]:
 
 
 def edge_in_c3_or_c4(g: Graph, e: Sequence[int]) -> bool:
-    """Whether the edge lies on some triangle or some quadrilateral.
+    """Whether the edge lies on some triangle or some quadrilateral."""
+    x, y = require_edge(g, e)
+    return in_c3_or_c4(g._masks, x, y)
+
+
+def in_c3_or_c4(masks: Sequence[int], x: int, y: int) -> bool:
+    """Whether the edge xy of the graph with neighbour bitmasks `masks`
+    lies on a triangle or a quadrilateral.
 
     Triangle: x and y share a neighbor.  Quadrilateral: there are distinct
     x' ~ x and y' ~ y (x' != y, y' != x) with x' ~ y'.
     """
-    x, y = require_edge(g, e)
-    mx = g.neighbor_mask(x) & ~(1 << y)
-    my = g.neighbor_mask(y) & ~(1 << x)
+    mx = masks[x] & ~(1 << y)
+    my = masks[y] & ~(1 << x)
     if mx & my:
         return True
-    for xp in g.adj[x]:
-        if xp == y:
-            continue
+    while mx:
+        low = mx & -mx  # x' = low.bit_length() - 1
         # a neighbor of x' inside N(y)\{x,x'} closes a 4-cycle through e
-        if g.neighbor_mask(xp) & my & ~(1 << xp):
+        if masks[low.bit_length() - 1] & my & ~low:
             return True
+        mx ^= low
     return False

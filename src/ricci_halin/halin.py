@@ -1,13 +1,14 @@
 """Plane trees and the leaf-cycle construction.
 
 A plane tree here is a rooted tree with ordered children (the planar
-embedding), built from a shape: nested tuples, numbered in preorder and
-held as one tuple `parent`, so parent[v] < v.  Joining its leaves by a
-cycle in contour order (depth-first, children left to right; a degree-1
-root is itself a leaf and comes first), which is ascending id order,
-produces a generalized Halin graph.  The walk that numbers a `PlaneTree`
-also keeps its leaves (`leaves`) and its smallest vertex of maximum
-degree (`hub`); the builders and the layout predicates read those two
+embedding), numbered in preorder and held as one tuple `parent`, so
+parent[v] < v.  One is built from a shape (nested tuples), or streamed
+with every other tree on n vertices by `plane_trees`.  Joining its
+leaves by a cycle in contour order (depth-first, children left to right;
+a degree-1 root is itself a leaf and comes first), which is ascending id
+order, produces a generalized Halin graph.  Both ways of making a tree
+also keep its leaves (`leaves`) and its smallest vertex of maximum
+degree (`hub`); `build_halin` and the layout predicates read those two
 fields.  The module also builds the three wheel families and evaluates
 the structural predicates that certify non-positive curvature from the
 tree layout alone.
@@ -15,6 +16,7 @@ tree layout alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .graph import Graph
 
@@ -28,7 +30,8 @@ class HalinError(ValueError):
 class PlaneTree:
     """Rooted ordered tree on vertices 0..n-1, numbered in preorder from
     the root 0 and held as its parent tuple (parent[0] = -1, else
-    parent[v] < v); `from_shape` is its one constructor."""
+    parent[v] < v); `from_shape` builds one from a shape, `plane_trees`
+    streams every tree on n vertices."""
 
     __slots__ = ("n", "parent", "leaves", "hub")
 
@@ -59,12 +62,16 @@ class PlaneTree:
                 hub, top = v, d
             stack.extend(reversed(sub))
             ups.extend([v] * len(sub))
-        t = cls.__new__(cls)
-        t.n = len(parent)
-        t.parent = tuple(parent)
-        t.leaves = tuple(leaves)
-        t.hub = hub
-        return t
+        return _plane_tree(tuple(parent), tuple(leaves), hub)
+
+    def shape(self) -> Shape:
+        """The shape `from_shape` numbers into this tree."""
+        # children have larger ids than their parent, so each vertex's
+        # child shapes are complete, last child first, when it is reached
+        kids: list[list[Shape]] = [[] for _ in range(self.n)]
+        for v in range(self.n - 1, 0, -1):
+            kids[self.parent[v]].append(tuple(reversed(kids[v])))
+        return tuple(reversed(kids[0]))
 
     def tree_degree(self, v: int) -> int:
         return self.parent.count(v) + (v != 0)
@@ -80,6 +87,85 @@ class PlaneTree:
 
     def __repr__(self) -> str:
         return f"PlaneTree(n={self.n}, parent={self.parent})"
+
+
+def _plane_tree(
+    parent: tuple[int, ...], leaves: tuple[int, ...], hub: int
+) -> PlaneTree:
+    t = PlaneTree.__new__(PlaneTree)
+    t.n = len(parent)
+    t.parent = parent
+    t.leaves = leaves
+    t.hub = hub
+    return t
+
+
+def _hang(state: tuple, i: int) -> tuple:
+    """The growth state after hanging the next vertex v below the i-th
+    vertex of the rightmost path (see plane_trees)."""
+    head, path, pdeg, settled, hub, top = state
+    v = len(head)
+    p = path[i]
+    d = pdeg[i] + 1
+    if d > top or (d == top and p < hub):
+        hub, top = p, d
+    return (
+        head + (p,),
+        path[:i + 1] + (v,),
+        pdeg[:i] + (d, 1),
+        settled + (v - 1,) if p != v - 1 else settled,
+        hub,
+        top,
+    )
+
+
+def plane_trees(
+    n: int, prefix: tuple[int, ...] = (-1,)
+) -> Iterator[PlaneTree]:
+    """Every rooted ordered tree on n vertices whose parent tuple starts
+    with `prefix` (by default all Catalan(n-1) of them), in increasing
+    `parent` order, which for one n is increasing shape order.
+
+    In preorder, vertex v hangs below a vertex of the rightmost path of
+    the tree on 0..v-1, so the trees grow depth first, each choice made
+    once for every tree that shares the prefix it ends.  A growth state
+    holds that prefix (`head`), the rightmost path root first, the
+    degrees of its vertices, the non-root leaves below v-1 (a vertex u
+    is settled as a leaf once u+1 hangs elsewhere), and the hub and its
+    degree, kept as `from_shape` defines them.  `prefix` must be the
+    parent tuple of a tree on at most n vertices, else HalinError.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    k = len(prefix)
+    if not 1 <= k <= n or prefix[0] != -1:
+        raise HalinError(
+            f"{prefix!r} is no parent tuple of a tree on at most {n} vertices"
+        )
+    if n == 1:
+        yield _plane_tree((-1,), (), 0)
+        return
+    state: tuple = ((-1,), (0,), (0,), (), 0, 0)
+    for v in range(1, k):
+        path = state[1]
+        if prefix[v] not in path:
+            raise HalinError(
+                f"{prefix!r}: vertex {v} must hang below one of {path}"
+            )
+        state = _hang(state, path.index(prefix[v]))
+    stack = [state]
+    while stack:
+        state = stack.pop()
+        head, path, pdeg, settled, hub, top = state
+        if len(head) < n:
+            # the child below the path's last vertex goes on the stack
+            # first, so the one below the root comes off first
+            stack.extend([_hang(state, i) for i in reversed(range(len(path)))])
+        else:  # a whole tree: its last vertex is a leaf
+            leaves = settled + (n - 1,)
+            yield _plane_tree(
+                head, (0,) + leaves if pdeg[0] == 1 else leaves, hub
+            )
 
 
 @dataclass(frozen=True)
@@ -146,22 +232,28 @@ def wheel_sub2(n: int) -> HalinGraph:
     return build_halin(PlaneTree.from_shape(shape))
 
 
-@dataclass(frozen=True)
-class ComponentProfile:
+class ComponentProfile(NamedTuple):
     """Leaf layout of T - {hub}, read along the cycle.
 
-    `components` lists, per branch at the hub in cyclic order, that
-    branch's outer vertices in cycle order; every branch's outer
-    vertices form one contiguous cyclic block.
+    The outer vertices of each branch at the hub form one contiguous
+    cyclic block of the cycle, a component.  `sizes` lists the
+    components' sizes in cyclic order, starting with the one that holds
+    the last leaf; `joins[i]` is the tree-distance sum of the two ends
+    of the cycle edge from component i to component i+1 (cyclically).
     """
 
     hub: int
-    components: tuple[tuple[int, ...], ...]
     tree_dist: tuple[int, ...]
+    sizes: tuple[int, ...]
+    joins: tuple[int, ...]
 
 
 def tree_profile(t: PlaneTree) -> ComponentProfile:
-    hub, parent = t.hub, t.parent
+    hub, parent, leaves = t.hub, t.parent, t.leaves
+    if len(leaves) < 3:  # a path: the hub has fewer than 3 branches
+        raise HalinError(
+            f"maximum tree degree must be at least 3, got {t.max_degree()}"
+        )
     # tree distance from the hub and branch id (the hub's tree neighbour
     # leading to the vertex): up the hub's ancestors, whose branch is the
     # hub's parent, then one pass in id order, as parent[v] < v
@@ -176,36 +268,32 @@ def tree_profile(t: PlaneTree) -> ComponentProfile:
             p = parent[v]
             dist[v] = dist[p] + 1
             branch[v] = v if p == hub else branch[p]
-    leaves = t.leaves
-    # rotate so a component boundary sits at position 0, then cut into runs
-    k = len(leaves)
-    start = 0
-    for i in range(k):
-        if branch[leaves[i]] != branch[leaves[i - 1]]:
-            start = i
-            break
-    rotated = leaves[start:] + leaves[:start]
-    components: list[list[int]] = []
-    for leaf in rotated:
-        if components and branch[components[-1][-1]] == branch[leaf]:
-            components[-1].append(leaf)
-        else:
-            components.append([leaf])
-    assert len(components) == t.max_degree(), "each branch is one block"
-    return ComponentProfile(
-        hub=hub,
-        components=tuple(tuple(c) for c in components),
-        tree_dist=tuple(dist),
-    )
+    # one pass over the cycle edges in contour order, from the one that
+    # closes the cycle: a component ends where an edge crosses branches
+    sizes = []
+    joins = []
+    run = 0
+    x = leaves[-1]
+    for y in leaves:
+        if branch[x] != branch[y]:
+            sizes.append(run)
+            joins.append(dist[x] + dist[y])
+            run = 0
+        run += 1
+        x = y
+    sizes[0] += run  # the last component's run, which may wrap round
+    assert len(sizes) == t.max_degree(), "each branch is one block"
+    return ComponentProfile(hub, tuple(dist), tuple(sizes), tuple(joins))
 
 
 def lemma32_violated(p: ComponentProfile) -> bool:
     """Two cyclically adjacent branches each owning >= 2 outer vertices."""
-    c = len(p.components)
-    return any(
-        len(p.components[i]) >= 2 and len(p.components[(i + 1) % c]) >= 2
-        for i in range(c)
-    )
+    prev = p.sizes[-1]
+    for size in p.sizes:
+        if size >= 2 and prev >= 2:
+            return True
+        prev = size
+    return False
 
 
 def lemma33_violated(p: ComponentProfile) -> bool:
@@ -214,12 +302,7 @@ def lemma33_violated(p: ComponentProfile) -> bool:
     The cycle edges that cross branches are exactly the joins of
     cyclically consecutive components.
     """
-    comps = p.components
-    dist = p.tree_dist
-    return any(
-        dist[comps[i - 1][-1]] + dist[comps[i][0]] >= 5
-        for i in range(len(comps))
-    )
+    return max(p.joins) >= 5
 
 
 def is_halin(g: Graph) -> bool:

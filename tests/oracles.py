@@ -3,11 +3,13 @@
 Everything here recomputes results by definition-level enumeration,
 deliberately sharing no algorithmic machinery with the package: the
 transport oracle enumerates whole integer flow matrices, the dual oracle
-iterates over all integer Lipschitz functions via itertools.product, and
-the cycle oracle scans vertex tuples.
+iterates over all integer Lipschitz functions via itertools.product, the
+cycle oracle scans vertex tuples, and the plane-tree oracle builds every
+nested shape by recursion on the size of its first subtree.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -196,6 +198,21 @@ def random_measure(rng: random.Random, g: Graph, max_support: int, total: int) -
     return Measure(
         {v: Fraction(c, total) for v, c in zip(support, chips) if c}
     )
+
+
+@functools.lru_cache(maxsize=None)
+def ordered_forests(total: int) -> tuple:
+    """Every ordered forest on `total` vertices as nested tuples, by
+    recursion on the size of its first tree.  A forest is a shape's child
+    tuple, so the shapes on n vertices are exactly ordered_forests(n-1)."""
+    if total == 0:
+        return ((),)
+    out = []
+    for head_size in range(1, total + 1):
+        for head in ordered_forests(head_size - 1):
+            for rest in ordered_forests(total - head_size):
+                out.append((head,) + rest)
+    return tuple(out)
 
 
 def child_lists(shape) -> tuple[tuple[int, ...], ...]:

@@ -166,7 +166,7 @@ def test_enum_output_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "9f4c1ee0f6be663fba18021b86c2d01e203eff58a79203d23b5facac00081861"
     )
-    # unpruned, every shape and both counts go through PlaneTree.from_shape
+    # unpruned, every tree of the stream reaches the canonical form
     assert main(["enum", "--n-max", "10", "--no-prune"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (

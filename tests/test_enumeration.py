@@ -5,7 +5,7 @@ import pytest
 
 import ricci_halin.enumeration as enumeration
 from ricci_halin.canonical import are_isomorphic, canonical_form
-from ricci_halin.curvature import CurvatureReport
+from ricci_halin.curvature import CurvatureReport, c3c4_upper_bound
 from ricci_halin.graph import Graph
 from ricci_halin.enumeration import (
     EXPECTED_COUNTS,
@@ -13,6 +13,10 @@ from ricci_halin.enumeration import (
     EXPECTED_TOTAL,
     FamilyLabel,
     _classify_chunk,
+    _degree_bound_prunes,
+    _layout_prunes,
+    _survivors,
+    _units,
     classification_to_json_dict,
     distinct_halin_graphs,
     enumerate_halin,
@@ -23,9 +27,8 @@ from ricci_halin.enumeration import (
 from ricci_halin.halin import (
     PlaneTree,
     build_halin,
-    lemma32_violated,
-    lemma33_violated,
-    tree_profile,
+    halin_edges,
+    plane_trees,
     wheel,
     wheel_sub2,
 )
@@ -138,40 +141,82 @@ def test_class_entries_are_canonically_labeled():
         assert [edge for edge, _ in e.report.edge_curvature] == e.graph.edges()
 
 
-def test_generation_order_does_not_change_survivors():
-    shapes = [s for n in range(4, 8) for s in ordered_tree_shapes(n)]
-    fwd, pruned_f, gen_f = _classify_chunk((shapes, True))
-    rev, pruned_r, gen_r = _classify_chunk((list(reversed(shapes)), True))
-    assert fwd == rev
-    assert (pruned_f, gen_f) == (pruned_r, gen_r)
+def test_unit_split_and_order_do_not_change_survivors():
+    def swept(units):
+        survivors, pruned, generated = _survivors(units, 1)
+        return {k: t.parent for k, t in survivors.items()}, pruned, generated
+
+    units = _units(10, True)
+    assert len(units) > 7  # n = 9 and n = 10 are split by prefix
+    whole = [(n, (-1,), True) for n in range(4, 11)]
+    assert swept(units) == swept(whole) == swept(units[::-1])
 
 
-@pytest.mark.parametrize("workers", [2, 3])  # two different chunkings
+@pytest.mark.parametrize("workers", [2, 3])  # two pool sizes
 def test_parallel_run_matches_serial(workers):
-    assert enumerate_halin(7, workers=workers) == enumerate_halin(7, workers=1)
+    # at n = 9 the pool maps prefix units, not only whole-n ones
+    assert any(prefix != (-1,) for _, prefix, _ in _units(9, True))
+    assert enumerate_halin(9, workers=workers) == enumerate_halin(9, workers=1)
 
 
-def test_sweep_builds_graphs_only_for_layout_survivors(monkeypatch):
-    real = enumeration.Graph
-    builds = []
+def test_sweep_builds_no_graph(monkeypatch):
+    built = []
+    real_init = Graph.__init__
 
-    def counting_graph(*args):
-        builds.append(args[0])
-        return real(*args)
+    def counting_init(self, *args):
+        built.append(args[0])
+        real_init(self, *args)
 
-    monkeypatch.setattr(enumeration, "Graph", counting_graph)
-    shapes = [s for n in range(4, 10) for s in ordered_tree_shapes(n)]
-    _, pruned, generated = _classify_chunk((shapes, True))
-    kept_by_layout = 0
-    for shape in shapes:
-        t = PlaneTree.from_shape(shape)
-        if t.max_degree() < 3:
-            continue
-        p = tree_profile(t)
-        if not (lemma32_violated(p) or lemma33_violated(p)):
-            kept_by_layout += 1
-    assert len(builds) == kept_by_layout
-    assert generated - pruned <= kept_by_layout < generated
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    _survivors(_units(9, True), 1)
+    assert built == []
+
+
+def test_mask_bound_decides_as_the_fraction_bound():
+    # every layout survivor with n <= 9: the sweep's integer bound on the
+    # masks prunes exactly when c3c4_upper_bound on the Graph is <= 0
+    checked = pruned = 0
+    for n in range(4, 10):
+        for t in plane_trees(n):
+            if t.max_degree() < 3 or _layout_prunes(t):
+                continue
+            g = build_halin(t).graph
+            bounds = [c3c4_upper_bound(g, e) for e in g.edges()]
+            want = any(b is not None and b <= 0 for b in bounds)
+            tree_e, cycle_e = halin_edges(t)
+            assert _degree_bound_prunes(g._masks, cycle_e + tree_e) == want
+            checked += 1
+            pruned += want
+    assert checked == sum(SWEEP_COUNTS[n][1] for n in range(4, 10))
+    assert pruned == checked - sum(SWEEP_COUNTS[n][2] for n in range(4, 10))
+
+
+# per n: trees of max degree >= 3, trees the layout rule keeps, trees all
+# rules keep, and classes among those; pinned per n, as totals alone would
+# hide errors that cancel out across n
+SWEEP_COUNTS = {
+    4: (2, 2, 2, 1),
+    5: (10, 10, 10, 2),
+    6: (37, 37, 37, 5),
+    7: (126, 90, 78, 8),
+    8: (422, 229, 65, 6),
+    9: (1422, 584, 130, 9),
+    10: (4853, 1547, 260, 15),
+    11: (16786, 4227, 532, 23),
+    12: (58775, 11901, 1102, 40),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SWEEP_COUNTS))
+def test_sweep_counts_per_n(n):
+    layout_kept = sum(
+        1 for t in plane_trees(n)
+        if t.max_degree() >= 3 and not _layout_prunes(t)
+    )
+    survivors, pruned, generated = _classify_chunk((n, (-1,), True))
+    assert (generated, layout_kept, generated - pruned, len(survivors)) == (
+        SWEEP_COUNTS[n]
+    )
 
 
 def test_distinct_graphs_up_to_six_all_positively_curved():

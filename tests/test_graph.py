@@ -75,6 +75,9 @@ def test_has_edge_bounds():
     assert not g.has_edge(0, 2)
     assert not g.has_edge(0, 0)
     assert not g.has_edge(-1, 2)
+    # only ints are vertex ids: True == 1 and 1.0 == 1 name no vertex
+    for u, v in [(True, 2), (2, True), (1.0, 2), (2, 1.0)]:
+        assert not g.has_edge(u, v)
 
 
 def test_edges_listing_round_trips():

@@ -1,5 +1,6 @@
 """Plane trees, the leaf-cycle construction, families, and layout predicates."""
 import random
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ from ricci_halin.halin import (
     lemma32_violated,
     lemma33_violated,
     parse_family_spec,
+    plane_trees,
     tree_profile,
     wheel,
     wheel_sub1,
@@ -28,6 +30,7 @@ from oracles import (
     hub_bfs,
     lemma32_by_leaf_order,
     lemma33_by_leaf_order,
+    ordered_forests,
 )
 
 
@@ -52,6 +55,60 @@ def test_plane_tree_from_shape_uses_preorder_ids():
     assert t.is_leaf(1) and not t.is_leaf(2)
 
 
+def test_plane_trees_match_the_nested_shape_recursion():
+    for n in range(1, 11):
+        shapes = ordered_forests(n - 1)
+        got = list(plane_trees(n))
+        assert len(got) == comb(2 * n - 2, n - 1) // n  # Catalan(n-1)
+        # the same trees, in increasing parent order, which is shape order
+        want = [PlaneTree.from_shape(s) for s in sorted(shapes)]
+        assert [(t.n, t.parent, t.leaves, t.hub) for t in got] == [
+            (t.n, t.parent, t.leaves, t.hub) for t in want
+        ]
+        assert all(a.parent < b.parent for a, b in zip(got, got[1:]))
+
+
+def test_plane_trees_under_each_prefix_part_the_stream():
+    for n in range(1, 9):
+        stream = [t.parent for t in plane_trees(n)]
+        for k in range(1, n + 1):
+            parted = [
+                t.parent
+                for head in plane_trees(k)
+                for t in plane_trees(n, head.parent)
+            ]
+            assert parted == stream
+    assert [t.parent for t in plane_trees(4, (-1, 0, 1, 1))] == [
+        (-1, 0, 1, 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        (),
+        (0,),
+        (-1, 1),  # 1 below itself
+        (-1, 0, 0, 1),  # 1 left the rightmost path when 2 hung below 0
+        (-1, 0, 1, 2, 3, 4),  # longer than the tree
+    ],
+)
+def test_plane_trees_refuse_a_bad_prefix(prefix):
+    with pytest.raises(HalinError):
+        list(plane_trees(5, prefix))
+
+
+def test_plane_trees_need_a_vertex():
+    with pytest.raises(ValueError):
+        list(plane_trees(0))
+
+
+def test_shape_inverts_from_shape():
+    for n in range(1, 10):
+        for shape in ordered_forests(n - 1):
+            assert PlaneTree.from_shape(shape).shape() == shape
+
+
 @pytest.mark.parametrize(
     "shape",
     [
@@ -69,7 +126,8 @@ def test_malformed_shapes_raise_halin_error(shape):
 
 
 def test_build_halin_refuses_paths():
-    # a path's leaves close no cycle: at most 2 of them, max degree <= 2
+    # a path's leaves close no cycle: at most 2 of them, max degree <= 2;
+    # nor has it the 3 branches at a hub that the layout rule reads
     for shape in ((), ((),), ((), ()), ((((),),),)):
         t = PlaneTree.from_shape(shape)
         assert t.max_degree() <= 2 and len(t.leaves) <= 2
@@ -77,6 +135,8 @@ def test_build_halin_refuses_paths():
             build_halin(t)
         with pytest.raises(HalinError, match="degree must be at least 3"):
             halin_edges(t)
+        with pytest.raises(HalinError, match="degree must be at least 3"):
+            tree_profile(t)
 
 
 def test_contour_order_is_depth_first():
@@ -102,7 +162,7 @@ def test_profile_distances_walk_both_directions():
     p = tree_profile(t)
     assert p.hub == 2
     assert p.tree_dist == (2, 1, 0, 1, 1, 1)
-    assert sorted(len(c) for c in p.components) == [1, 1, 1, 1]
+    assert sorted(p.sizes) == [1, 1, 1, 1]
 
 
 def test_hub_is_the_first_vertex_of_maximum_degree():
@@ -203,25 +263,43 @@ def test_parse_family_spec():
 def test_profile_of_wheel_is_all_singletons():
     p = tree_profile(wheel(6).source_tree)
     assert p.hub == 0
-    assert len(p.components) == 5
-    assert all(len(c) == 1 for c in p.components)
+    assert p.sizes == (1, 1, 1, 1, 1)
+    assert p.joins == (2, 2, 2, 2, 2)
     assert not lemma32_violated(p)
     assert not lemma33_violated(p)
 
 
-def test_profile_groups_leaves_by_branch():
-    # root with a 2-leaf branch, a bare leaf, another 2-leaf branch, a leaf
-    t = PlaneTree.from_shape((((), ()), (), ((), ()), ()))
+@pytest.mark.parametrize(
+    "shape, hub, components",
+    [
+        # root with a 2-leaf branch, a bare leaf, another 2-leaf branch, a
+        # leaf; the cycle's closing edge 8-2 crosses branches
+        ((((), ()), (), ((), ()), ()), 0, [(8,), (2, 3), (4,), (6, 7)]),
+        # the last two leaves share a branch, and the closing edge crosses
+        (((), (), ((), ())), 0, [(4, 5), (1,), (2,)]),
+        # a degree-1 root and the last leaf share a branch: the component
+        # that holds the last leaf wraps round the closing edge
+        (((((), (), ()), ()),), 2, [(6, 0), (3,), (4,), (5,)]),
+    ],
+)
+def test_profile_groups_leaves_by_branch(shape, hub, components):
+    t = PlaneTree.from_shape(shape)
     p = tree_profile(t)
-    assert p.hub == 0
-    sizes = sorted(len(c) for c in p.components)
-    assert sizes == [1, 1, 2, 2]
+    assert p.hub == hub
+    # components in cyclic order, from the one that holds the last leaf
+    assert p.sizes == tuple(len(c) for c in components)
+    assert sorted(v for c in components for v in c) == list(t.leaves)
+    after = components[1:] + components[:1]
+    assert p.joins == tuple(
+        p.tree_dist[c[-1]] + p.tree_dist[d[0]]
+        for c, d in zip(components, after)
+    )
     # each component is one whole branch: its leaves reach the hub through
     # one hub neighbour, and no two components share that neighbour
     branches = [{hub_neighbour_towards(t, p.hub, v) for v in comp}
-                for comp in p.components]
+                for comp in components]
     assert all(len(b) == 1 for b in branches)
-    assert len(set.union(*branches)) == len(p.components)
+    assert len(set.union(*branches)) == len(components) == t.max_degree()
 
 
 def hub_neighbour_towards(t, hub, v):
