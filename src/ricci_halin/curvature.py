@@ -30,7 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import Graph, _is_int, edge_in_c3_or_c4, require_edge
+from .graph import (
+    Graph,
+    GraphError,
+    _is_int,
+    edge_in_c3_or_c4,
+    require_edge,
+)
 from .transport import (
     CouplingEntry,
     Measure,
@@ -61,11 +67,12 @@ def _critical_alpha(g: Graph, x: int, y: int) -> Fraction:
 
 
 def _transport_edge(g: Graph, e: Sequence[int]) -> tuple[int, int]:
-    """require_edge for the transport route, which refuses a float or
-    bool end as a CurvatureError, like its other bad inputs."""
-    if isinstance(e, (tuple, list)) and not all(map(_is_int, e)):
-        raise CurvatureError(f"edge {e!r}: vertex ids must be ints")
-    return require_edge(g, e)
+    """require_edge for the transport route, which refuses a bad edge as
+    a CurvatureError, like its other bad inputs."""
+    try:
+        return require_edge(g, e)
+    except GraphError as exc:
+        raise CurvatureError(str(exc)) from None
 
 
 def _alpha(alpha: Fraction | int | str) -> Fraction:
@@ -118,7 +125,7 @@ def _dual_search(
     free = sorted(coeff, key=lambda v: (-abs(coeff[v]), v))
     k = len(free)
     c = [coeff[v] for v in free]
-    distance = g.distance
+    distance = g._distance
     # ahead[i][j - i - 1] is the distance from free[i] to free[j], j > i
     ahead = [
         [distance(u, v) for v in free[i + 1:]] for i, u in enumerate(free)
@@ -258,7 +265,7 @@ def check_lipschitz_certificate(
             if gap < 2:
                 continue  # distinct vertices are at least 1 apart
             # the search need not look deeper than the gap it must cover
-            d = g.distance(u, v, cap=gap)
+            d = g._distance(u, v, cap=gap)
             if gap > d:
                 raise CurvatureError(
                     f"Lipschitz violation on pair ({u}, {v}): "

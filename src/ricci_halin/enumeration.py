@@ -1,15 +1,20 @@
 """Exhaustive classification of generalized Halin graphs by curvature.
 
 Every rooted ordered tree on n vertices (Catalan many) that is not a
-path yields one generalized Halin graph.  Sweeping all of them for
-n <= n_max covers every planar embedding, and graph-level canonical
-forms collapse the massive over-generation into isomorphism classes.
-The sweep streams the trees from `plane_trees` in units that share a
-preorder prefix, and skips the paths.  Optional pruning discards trees
-that certify a non-positively curved edge before any exact computation
-happens: the layout rules (Lemmas 3.2 and 3.3) read only the tree, and
-the C3/C4 degree bound reads the neighbour bitmasks of each tree they
-keep, in integers; no Graph is built for a tree in the sweep.
+path yields one generalized Halin graph, and the graph depends only on
+the plane tree underneath, not on the corner it is rooted at.  So the
+sweep visits each plane tree on n <= n_max vertices once, rooted at its
+centroid by `centroid_trees`, and weighs it by the 2(n-1)/s rooted trees
+it stands for (s its rotational symmetry order); graph-level canonical
+forms then collapse the plane trees into isomorphism classes.  Work
+units share n and the first branch at the centroid, and paths are
+skipped.  Optional pruning discards trees that certify a non-positively
+curved edge before any exact computation happens: the C3/C4 degree
+bound reads the neighbour bitmasks of the graph, in integers, and the
+layout rules (Lemmas 3.2 and 3.3) read the tree at each vertex of
+maximum degree that a rooting can take as its hub; no Graph is built
+for a tree in the sweep.  The counts and each class's least generating
+`parent` tuple are those of the sweep over every rooting.
 
 Curvature reports for surviving classes are computed on the canonically
 relabeled representative so that serialized output is deterministic.
@@ -33,7 +38,10 @@ from .halin import (
     HalinGraph,
     PlaneTree,
     Shape,
+    _from_parent,
     build_halin,
+    centroid_trees,
+    corner_rootings,
     halin_edges,
     is_halin,
     lemma32_violated,
@@ -126,13 +134,14 @@ def distinct_halin_graphs(n_max: int) -> Iterator[HalinGraph]:
     """One representative per isomorphism class, all curvature signs,
     ordered by (n, canonical form)."""
     survivors, _, _ = _survivors(_units(n_max, False), 1)
-    for _key, t in sorted(survivors.items()):
-        yield build_halin(t)
+    for _key, parent in sorted(survivors.items()):
+        yield build_halin(_from_parent(parent))
 
 
-def _layout_prunes(t: PlaneTree) -> bool:
-    """Lemma 3.2, then Lemma 3.3: the tree alone forces kappa <= 0."""
-    p = tree_profile(t)
+def _layout_prunes(t: PlaneTree, hub: int | None = None) -> bool:
+    """Lemma 3.2, then Lemma 3.3: the tree's layout at `hub` (by default
+    its own) alone forces kappa <= 0."""
+    p = tree_profile(t, hub)
     return lemma32_violated(p) or lemma33_violated(p)
 
 
@@ -162,65 +171,85 @@ def prune_negative(t: PlaneTree, g: Graph) -> bool:
 
 
 def _keep_least(
-    survivors: dict[tuple[int, int], PlaneTree],
+    survivors: dict[tuple[int, int], tuple[int, ...]],
     key: tuple[int, int],
-    t: PlaneTree,
+    parent: tuple[int, ...],
 ) -> None:
     """Keep the least generating tree per class, by `parent` (for one n,
     the order of their shapes)."""
     old = survivors.get(key)
-    if old is None or t.parent < old.parent:
-        survivors[key] = t
+    if old is None or parent < old:
+        survivors[key] = parent
 
 
-# a unit holds the trees on n vertices that share their first n - 6
-# vertices: at most 9 996 of them at n = 13, so a pool stays balanced
-_UNIT_FREE = 6
-
-_Unit = tuple[int, tuple[int, ...], bool]  # n, parent prefix, use_pruning
+_Unit = tuple[int, tuple[int, ...] | None, bool]  # n, first, use_pruning
 
 
 def _units(n_max: int, use_pruning: bool) -> list[_Unit]:
-    """The sweep's work units: their trees part the trees on 4..n_max
-    vertices.  The largest n come first, so that a pool ends on small
-    units."""
+    """The sweep's work units: for each n, one per rooted tree `first`
+    that `centroid_trees(n, first)` accepts, so that their plane trees
+    part those on 4..n_max vertices.  The largest n come first, so that
+    a pool ends on small units."""
     return [
         (n, t.parent, use_pruning)
         for n in range(n_max, 3, -1)
-        for t in plane_trees(max(1, n - _UNIT_FREE))
+        for k in range(1, n // 2 + 1)
+        for t in plane_trees(k)
     ]
 
 
 def _classify_chunk(
     unit: _Unit,
-) -> tuple[dict[tuple[int, int], PlaneTree], int, int]:
-    """Map the trees on n vertices whose parent tuple starts with
-    `prefix` to {(n, certificate): least tree}, with the counts of
-    trees pruned and of trees examined (those of max degree >= 3)."""
-    n, prefix, use_pruning = unit
-    survivors: dict[tuple[int, int], PlaneTree] = {}
+) -> tuple[dict[tuple[int, int], tuple[int, ...]], int, int]:
+    """Map the rooted trees on n vertices whose plane trees
+    `centroid_trees(n, first)` yields (all of them if first is None) to
+    {(n, certificate): least parent tuple}, with the counts of rooted
+    trees pruned and of rooted trees examined (those of max degree >= 3).
+
+    Each plane tree is visited once and stands for R = 2(n-1)/s rooted
+    trees, all with one Halin graph.  The degree bound reads the graph,
+    so it prunes all R or none; the layout rules read a rooting only
+    through its hub, the first vertex of maximum degree in its preorder,
+    so they are decided once per vertex of maximum degree.  Only a tree
+    some rooting of which survives has its corners expanded, to count
+    the survivors and find the least.
+    """
+    n, first, use_pruning = unit
+    survivors: dict[tuple[int, int], tuple[int, ...]] = {}
     pruned = 0
     generated = 0
-    for t in plane_trees(n, prefix):
+    for t, s in centroid_trees(n, first):
         if len(t.leaves) < 3:  # a path, of max degree < 3
             continue
-        generated += 1
+        rootings = 2 * (n - 1) // s
+        generated += rootings
         tree_e, cycle_e = halin_edges(t)
-        # prune_negative's rules in its order
-        if use_pruning and _layout_prunes(t):
-            pruned += 1
-            continue
         # cycle edges first: the degree bound most often certifies one
         edges = cycle_e + tree_e
         masks = [0] * n
         for u, v in edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        if use_pruning and _degree_bound_prunes(masks, edges):
-            pruned += 1
-            continue
+        kept = range(n)  # the hubs at which the layout keeps the tree
+        if use_pruning:
+            if _degree_bound_prunes(masks, edges):
+                pruned += rootings
+                continue
+            deg = [t.tree_degree(v) for v in range(n)]
+            kept = {
+                h for h in range(n)
+                if deg[h] == deg[t.hub] and not _layout_prunes(t, h)
+            }
+            if not kept:
+                pruned += rootings
+                continue
+        corners = [
+            parent for parent, hub in corner_rootings(t) if hub in kept
+        ]
+        # each kept rooted tree comes from s corners
+        pruned += rootings - len(corners) // s
         key = (n, canonical_certificate(n, masks))
-        _keep_least(survivors, key, t)
+        _keep_least(survivors, key, min(corners))
     return survivors, pruned, generated
 
 
@@ -238,7 +267,7 @@ def family_counts(
 
 def _sweep(
     units: list[_Unit], workers: int
-) -> Iterator[tuple[dict[tuple[int, int], PlaneTree], int, int]]:
+) -> Iterator[tuple[dict[tuple[int, int], tuple[int, ...]], int, int]]:
     """Each unit's result: in-process for workers <= 1, else on a pool
     of that many, in any order."""
     if workers <= 1:
@@ -252,15 +281,16 @@ def _sweep(
 
 def _survivors(
     units: list[_Unit], workers: int
-) -> tuple[dict[tuple[int, int], PlaneTree], int, int]:
-    """{(n, certificate): least tree} over the units, with the counts of
-    trees pruned and examined; the same in any order of results."""
-    survivors: dict[tuple[int, int], PlaneTree] = {}
+) -> tuple[dict[tuple[int, int], tuple[int, ...]], int, int]:
+    """{(n, certificate): least parent tuple} over the units, with the
+    counts of rooted trees pruned and examined; the same in any order of
+    results."""
+    survivors: dict[tuple[int, int], tuple[int, ...]] = {}
     pruned = 0
     generated = 0
     for part, p, g in _sweep(units, workers):
-        for key, t in part.items():
-            _keep_least(survivors, key, t)
+        for key, parent in part.items():
+            _keep_least(survivors, key, parent)
         pruned += p
         generated += g
     return survivors, pruned, generated
@@ -283,7 +313,7 @@ def enumerate_halin(
     # canonical graph6 string has the same length, and its body is the
     # certificate's bits, big-endian.  So both lists come out sorted, and
     # sporadic positives are numbered in that order.
-    for (n, cert), t in sorted(survivors.items()):
+    for (n, cert), parent in sorted(survivors.items()):
         # the key's certificate is the class's canonical form, unpacked
         cert_bytes = pack_graph6(n, cert, n * (n - 1) // 2)
         canon = from_graph6(cert_bytes)
@@ -301,7 +331,7 @@ def enumerate_halin(
             report=report,
             family=family,
             halin=is_halin(canon),
-            source_shape=t.shape(),
+            source_shape=_from_parent(parent).shape(),
         )
         if report.min_curvature > 0:
             positives.append(entry)

@@ -108,8 +108,17 @@ class Graph:
 
         Distances 0 to 3 are read off the neighbour bitmasks; farther
         pairs fall back to a BFS.  With `cap`, the BFS stops at that
-        depth and min(distance, cap) is returned.
+        depth and min(distance, cap) is returned.  Both ends must be
+        vertex ids of the graph, else GraphError.
         """
+        for w in (u, v):
+            if not (_is_int(w) and 0 <= w < self.n):
+                raise GraphError(f"{w!r} is not a vertex id of the graph")
+        return self._distance(u, v, cap)
+
+    def _distance(self, u: int, v: int, cap: int | None = None) -> int:
+        """`distance` without the id check, for loops over ids that are
+        known to be vertices."""
         if u == v:
             return 0
         masks = self._masks

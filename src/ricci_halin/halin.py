@@ -6,9 +6,13 @@ parent[v] < v.  One is built from a shape (nested tuples), or streamed
 with every other tree on n vertices by `plane_trees`.  Joining its
 leaves by a cycle in contour order (depth-first, children left to right;
 a degree-1 root is itself a leaf and comes first), which is ascending id
-order, produces a generalized Halin graph.  Both ways of making a tree
-also keep its leaves (`leaves`) and its smallest vertex of maximum
-degree (`hub`); `build_halin` and the layout predicates read those two
+order, produces a generalized Halin graph.  The cycle is the same from
+every corner the tree could be rooted at, so `centroid_trees` streams
+each unrooted plane tree once, rooted at a centroid, with the number of
+corners that give each of its rootings, and `corner_rootings` lists its
+rootings.  However a tree is made, its leaves (`leaves`) and its
+smallest vertex of maximum degree (`hub`) are read off its parent tuple
+in one place; `build_halin` and the layout predicates read those two
 fields.  The module also builds the three wheel families and evaluates
 the structural predicates that certify non-positive curvature from the
 tree layout alone.
@@ -16,6 +20,7 @@ tree layout alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .graph import Graph
@@ -37,13 +42,9 @@ class PlaneTree:
 
     @classmethod
     def from_shape(cls, shape: Shape) -> "PlaneTree":
-        """Number a shape's vertices in preorder, in one walk that also
-        records the leaves and the hub (the first vertex of maximum
-        degree).  Paths are accepted; anything in a shape that is not a
-        tuple raises HalinError."""
+        """Number a shape's vertices in preorder.  Paths are accepted;
+        anything in a shape that is not a tuple raises HalinError."""
         parent: list[int] = []
-        leaves = []
-        hub, top = 0, -1
         stack = [shape]  # shapes still to number, and beside them
         ups = [-1]  # the id of each one's parent
         while stack:
@@ -55,14 +56,9 @@ class PlaneTree:
                 )
             v = len(parent)
             parent.append(up)
-            d = len(sub) + (up >= 0)
-            if d == 1:
-                leaves.append(v)
-            if d > top:
-                hub, top = v, d
             stack.extend(reversed(sub))
             ups.extend([v] * len(sub))
-        return _plane_tree(tuple(parent), tuple(leaves), hub)
+        return _from_parent(tuple(parent))
 
     def shape(self) -> Shape:
         """The shape `from_shape` numbers into this tree."""
@@ -89,83 +85,177 @@ class PlaneTree:
         return f"PlaneTree(n={self.n}, parent={self.parent})"
 
 
-def _plane_tree(
-    parent: tuple[int, ...], leaves: tuple[int, ...], hub: int
-) -> PlaneTree:
+def _from_parent(parent: tuple[int, ...]) -> PlaneTree:
+    """The tree with this preorder parent tuple, its leaves (a degree-1
+    root among them) and hub read off its degrees; the tuple is trusted,
+    not checked."""
+    deg = [1] * len(parent)
+    deg[0] = 0
+    for p in parent[1:]:
+        deg[p] += 1
     t = PlaneTree.__new__(PlaneTree)
     t.n = len(parent)
     t.parent = parent
-    t.leaves = leaves
-    t.hub = hub
+    t.leaves = tuple(v for v, d in enumerate(deg) if d == 1)
+    t.hub = deg.index(max(deg))
     return t
 
 
-def _hang(state: tuple, i: int) -> tuple:
-    """The growth state after hanging the next vertex v below the i-th
-    vertex of the rightmost path (see plane_trees)."""
-    head, path, pdeg, settled, hub, top = state
-    v = len(head)
-    p = path[i]
-    d = pdeg[i] + 1
-    if d > top or (d == top and p < hub):
-        hub, top = p, d
-    return (
-        head + (p,),
-        path[:i + 1] + (v,),
-        pdeg[:i] + (d, 1),
-        settled + (v - 1,) if p != v - 1 else settled,
-        hub,
-        top,
-    )
-
-
-def plane_trees(
-    n: int, prefix: tuple[int, ...] = (-1,)
-) -> Iterator[PlaneTree]:
-    """Every rooted ordered tree on n vertices whose parent tuple starts
-    with `prefix` (by default all Catalan(n-1) of them), in increasing
-    `parent` order, which for one n is increasing shape order.
+def plane_trees(n: int) -> Iterator[PlaneTree]:
+    """Every rooted ordered tree on n vertices, Catalan(n-1) of them, in
+    increasing `parent` order, which for one n is increasing shape order.
 
     In preorder, vertex v hangs below a vertex of the rightmost path of
     the tree on 0..v-1, so the trees grow depth first, each choice made
     once for every tree that shares the prefix it ends.  A growth state
-    holds that prefix (`head`), the rightmost path root first, the
-    degrees of its vertices, the non-root leaves below v-1 (a vertex u
-    is settled as a leaf once u+1 hangs elsewhere), and the hub and its
-    degree, kept as `from_shape` defines them.  `prefix` must be the
-    parent tuple of a tree on at most n vertices, else HalinError.
+    holds that prefix and the rightmost path, root first.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    k = len(prefix)
-    if not 1 <= k <= n or prefix[0] != -1:
-        raise HalinError(
-            f"{prefix!r} is no parent tuple of a tree on at most {n} vertices"
-        )
-    if n == 1:
-        yield _plane_tree((-1,), (), 0)
-        return
-    state: tuple = ((-1,), (0,), (0,), (), 0, 0)
-    for v in range(1, k):
-        path = state[1]
-        if prefix[v] not in path:
-            raise HalinError(
-                f"{prefix!r}: vertex {v} must hang below one of {path}"
-            )
-        state = _hang(state, path.index(prefix[v]))
-    stack = [state]
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((-1,), (0,))]
     while stack:
-        state = stack.pop()
-        head, path, pdeg, settled, hub, top = state
-        if len(head) < n:
-            # the child below the path's last vertex goes on the stack
-            # first, so the one below the root comes off first
-            stack.extend([_hang(state, i) for i in reversed(range(len(path)))])
-        else:  # a whole tree: its last vertex is a leaf
-            leaves = settled + (n - 1,)
-            yield _plane_tree(
-                head, (0,) + leaves if pdeg[0] == 1 else leaves, hub
-            )
+        head, path = stack.pop()
+        v = len(head)
+        if v == n:
+            yield _from_parent(head)
+            continue
+        # the child below the path's last vertex goes on the stack first,
+        # so the one below the root comes off first
+        for i in range(len(path) - 1, -1, -1):
+            stack.append((head + (path[i],), path[:i + 1] + (v,)))
+
+
+@lru_cache(maxsize=None)
+def _parents(k: int) -> tuple[tuple[int, ...], ...]:
+    """The parent tuples of `plane_trees(k)`, in its order."""
+    return tuple(t.parent for t in plane_trees(k))
+
+
+def _rotation_order(seq: tuple[int, ...]) -> int:
+    """How many rotations of seq equal it, or 0 if one is smaller; no
+    entry of seq is less than its first."""
+    s = 1
+    for r in range(1, len(seq)):
+        if seq[r] == seq[0]:  # any other rotation is larger
+            rot = seq[r:] + seq[:r]
+            if rot < seq:
+                return 0
+            s += rot == seq
+    return s
+
+
+def centroid_trees(
+    n: int, first: tuple[int, ...] | None = None
+) -> Iterator[tuple[PlaneTree, int]]:
+    """Every plane tree on n >= 2 vertices once, with its rotational
+    symmetry order s.  A plane tree has 2(n-1) corners, and rooted at
+    each it reads as one of the trees of `plane_trees(n)`; s corners
+    give each such rooted tree, so the plane tree stands for 2(n-1)/s
+    of them.
+
+    A plane tree is rooted here at a centroid, a vertex none of whose
+    branches has more than n/2 vertices, so that no rooting need be
+    compared.  If one vertex c has every branch of at most (n-1)//2
+    vertices, c is the only centroid, and the tree is the necklace of
+    its branches read round c, each a rooted ordered tree.  Branches are
+    ordered by size, larger first, then by `parent`; the tree is rooted
+    at the corner of c where the sequence of its branches is least among
+    its rotations, and s is the number of rotations equal to it.
+    Otherwise n is even and two adjacent centroids split the tree into
+    rooted trees A <= B on n/2 vertices, each read from the corner after
+    the other; the tree is rooted at A's root, B's root its first child,
+    and s = 2 if A = B, else 1.
+
+    `first`, the parent tuple of a tree on k <= n/2 vertices, keeps the
+    trees whose least branch sequence starts with it (k < n/2) or whose
+    A it is (k = n/2); over all such tuples these part the stream.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    half = (n - 1) // 2
+    if first is not None and not (
+        1 <= len(first) <= n // 2
+        and first in _parents(len(first))
+    ):
+        raise HalinError(
+            f"{first!r} is no parent tuple of a tree on at most {n // 2} "
+            f"vertices"
+        )
+    if first is None or len(first) <= half:
+        # branch i: its parent tuple without the root's -1, and its size;
+        # larger first, so that a sequence starts with a largest branch
+        # and the units keyed on it share out the work
+        branches = [p for k in range(half, 0, -1) for p in _parents(k)]
+        tails = [p[1:] for p in branches]
+        size = [len(p) for p in branches]
+        # fits[k]: the first branch on at most k vertices
+        fits = {k: size.index(k) for k in range(1, half + 1)}
+        heads = (
+            range(len(branches)) if first is None
+            else [branches.index(first)]
+        )
+        for h in heads:
+            # the other branches of a least sequence are >= its first
+            stack = [((h,), n - 1 - size[h])]
+            while stack:
+                seq, rest = stack.pop()
+                if rest:
+                    lo = max(h, fits[min(rest, half)])
+                    stack.extend(
+                        (seq + (j,), rest - size[j])
+                        for j in range(len(branches) - 1, lo - 1, -1)
+                    )
+                    continue
+                s = _rotation_order(seq)
+                if s:
+                    parent = [-1]
+                    for j in seq:
+                        o = len(parent)
+                        parent.append(0)
+                        parent.extend([q + o for q in tails[j]])
+                    yield _from_parent(tuple(parent)), s
+    if n % 2 == 0 and (first is None or len(first) == n // 2):
+        k = n // 2
+        halves = _parents(k)
+        for i, a in enumerate(halves):
+            if first is not None and a != first:
+                continue
+            rest = tuple(q + k if q else 0 for q in a[1:])
+            for b in halves[i:]:
+                parent = (-1, 0) + tuple(q + 1 for q in b[1:]) + rest
+                yield _from_parent(parent), 2 if a == b else 1
+
+
+def corner_rootings(t: PlaneTree) -> Iterator[tuple[tuple[int, ...], int]]:
+    """t's plane tree rooted at each of its 2(n-1) corners: the preorder
+    parent tuple, and the hub (the first vertex of maximum degree in
+    that preorder) by its id in t.  A rooted tree of symmetry order s
+    comes from s corners."""
+    n, parent = t.n, t.parent
+    # each vertex's neighbours in cyclic order: its parent, then its
+    # children left to right (they come in increasing id order)
+    ring: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        ring[v].append(parent[v])
+        ring[parent[v]].append(v)
+    top = max(map(len, ring))
+    for r in range(n):
+        around = ring[r]
+        for i in range(len(around)):
+            out = [-1]
+            hub = r if len(around) == top else -1
+            # (vertex, new id of its parent, its parent)
+            stack = [(w, 0, r) for w in reversed(around[i:] + around[:i])]
+            while stack:
+                u, up, w = stack.pop()
+                me = len(out)
+                out.append(up)
+                ru = ring[u]
+                if hub < 0 and len(ru) == top:
+                    hub = u
+                j = ru.index(w)
+                stack.extend((x, me, u) for x in reversed(ru[j + 1:] + ru[:j]))
+            yield tuple(out), hub
 
 
 @dataclass(frozen=True)
@@ -248,8 +338,12 @@ class ComponentProfile(NamedTuple):
     joins: tuple[int, ...]
 
 
-def tree_profile(t: PlaneTree) -> ComponentProfile:
-    hub, parent, leaves = t.hub, t.parent, t.leaves
+def tree_profile(t: PlaneTree, hub: int | None = None) -> ComponentProfile:
+    """The layout at `hub`, by default t's hub; any vertex of maximum
+    degree gives the profile that t rooted at one of its corners has."""
+    parent, leaves = t.parent, t.leaves
+    if hub is None:
+        hub = t.hub
     if len(leaves) < 3:  # a path: the hub has fewer than 3 branches
         raise HalinError(
             f"maximum tree degree must be at least 3, got {t.max_degree()}"
@@ -282,7 +376,7 @@ def tree_profile(t: PlaneTree) -> ComponentProfile:
         run += 1
         x = y
     sizes[0] += run  # the last component's run, which may wrap round
-    assert len(sizes) == t.max_degree(), "each branch is one block"
+    assert len(sizes) == t.tree_degree(hub), "each branch is one block"
     return ComponentProfile(hub, tuple(dist), tuple(sizes), tuple(joins))
 
 

@@ -316,7 +316,7 @@ def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
     targets = sorted(res_d)
     supply = [res_s[u] for u in sources]
     demand = [res_d[v] for v in targets]
-    distance = g.distance
+    distance = g._distance
     cost = [[distance(u, v) for v in targets] for u in sources]
     total, carried = _min_cost_flow(cost, supply, demand)
     for v, flows in zip(targets, carried):

@@ -5,7 +5,10 @@ deliberately sharing no algorithmic machinery with the package: the
 transport oracle enumerates whole integer flow matrices, the dual oracle
 iterates over all integer Lipschitz functions via itertools.product, the
 cycle oracle scans vertex tuples, and the plane-tree oracle builds every
-nested shape by recursion on the size of its first subtree.
+nested shape by recursion on the size of its first subtree.  The one
+exception is the rooted sweep: it applies the package's own pruning
+rules and canonical form, but to every rooted tree, so it checks only
+how the package stands one plane tree for all of its rootings.
 """
 from __future__ import annotations
 
@@ -297,3 +300,37 @@ def lemma33_by_leaf_order(children) -> bool:
         branch[a] != branch[b] and dist[a] + dist[b] >= 5
         for a, b in ((leaves[i], leaves[(i + 1) % k]) for i in range(k))
     )
+
+
+def rooted_sweep(n: int, use_pruning: bool = True):
+    """The sweep over every rooted tree on n vertices, one rooting at a
+    time: ({(n, certificate): least parent tuple}, pruned, generated),
+    where a rooted tree is pruned if the C3/C4 degree bound holds on its
+    graph or the layout rules hold at its own hub: the rooted
+    counterpart of `enumeration._classify_chunk`."""
+    from ricci_halin.canonical import canonical_certificate
+    from ricci_halin.enumeration import _degree_bound_prunes, _layout_prunes
+    from ricci_halin.halin import halin_edges, plane_trees
+
+    survivors: dict = {}
+    pruned = generated = 0
+    for t in plane_trees(n):
+        if len(t.leaves) < 3:  # a path
+            continue
+        generated += 1
+        if use_pruning and _layout_prunes(t):
+            pruned += 1
+            continue
+        tree_e, cycle_e = halin_edges(t)
+        edges = cycle_e + tree_e
+        masks = [0] * n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        if use_pruning and _degree_bound_prunes(masks, edges):
+            pruned += 1
+            continue
+        key = (n, canonical_certificate(n, masks))
+        if key not in survivors or t.parent < survivors[key]:
+            survivors[key] = t.parent
+    return survivors, pruned, generated

@@ -172,6 +172,13 @@ def test_enum_output_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "e83b00c49ff0c117acc348ac25809198450447c86aad95e159e5016665eb5e35"
     )
+    # from n = 8 on, the rootings of one plane tree can take different
+    # hubs, so the counters in this JSON pin how they are weighed
+    assert main(["enum", "--n-max", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "c9acaed0fe19ea2a26b1de073fdaec7a42609488020fa0f0a03f3737fb56955d"
+    )
 
 
 def test_curv_json_is_byte_identical(capsys, tmp_path):

@@ -110,6 +110,15 @@ def test_every_edge_query_refuses_float_and_bool_ids(e):
             query(g, e)
 
 
+def test_transport_route_refuses_a_non_edge_as_a_curvature_error():
+    g = wheel(5).graph
+    for query in (kappa_lly, lambda g, e: kappa_alpha(g, e, F(1, 2))):
+        with pytest.raises(CurvatureError, match=r"\(1,3\) is not an edge"):
+            query(g, (1, 3))
+        with pytest.raises(CurvatureError, match="not an edge pair"):
+            query(g, (1,))
+
+
 def test_kappa_alpha_accepts_int_fraction_and_str_alpha():
     g = cycle(5)
     assert kappa_alpha(g, (0, 1), "1/3") == kappa_alpha(g, [0, 1], F(1, 3))

@@ -33,6 +33,8 @@ from ricci_halin.halin import (
     wheel_sub2,
 )
 
+from oracles import rooted_sweep
+
 F = Fraction
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -142,21 +144,33 @@ def test_class_entries_are_canonically_labeled():
 
 
 def test_unit_split_and_order_do_not_change_survivors():
-    def swept(units):
-        survivors, pruned, generated = _survivors(units, 1)
-        return {k: t.parent for k, t in survivors.items()}, pruned, generated
-
     units = _units(10, True)
-    assert len(units) > 7  # n = 9 and n = 10 are split by prefix
-    whole = [(n, (-1,), True) for n in range(4, 11)]
-    assert swept(units) == swept(whole) == swept(units[::-1])
+    # n = 10 is split by the first branch at the centroid: 1 + 1 + 2 + 5
+    # necklace heads of 1..4 vertices, and 14 halves of 5 vertices
+    assert sum(1 for n, _, _ in units if n == 10) == 23
+    whole = [(n, None, True) for n in range(4, 11)]
+    assert _survivors(units, 1) == _survivors(whole, 1) == _survivors(
+        units[::-1], 1
+    )
 
 
 @pytest.mark.parametrize("workers", [2, 3])  # two pool sizes
 def test_parallel_run_matches_serial(workers):
-    # at n = 9 the pool maps prefix units, not only whole-n ones
-    assert any(prefix != (-1,) for _, prefix, _ in _units(9, True))
+    # the pool maps units that split each n, not only whole-n ones
+    assert sum(1 for n, _, _ in _units(9, True) if n == 9) > 1
     assert enumerate_halin(9, workers=workers) == enumerate_halin(9, workers=1)
+
+
+@pytest.mark.parametrize(
+    "n, use_pruning",
+    [(n, True) for n in range(4, 13)] + [(n, False) for n in range(4, 11)],
+)
+def test_sweep_matches_the_rooted_sweep(n, use_pruning):
+    # one visit per plane tree gives what one visit per rooted tree gives:
+    # the classes, each one's least parent tuple, and both counts
+    assert _classify_chunk((n, None, use_pruning)) == rooted_sweep(
+        n, use_pruning
+    )
 
 
 def test_sweep_builds_no_graph(monkeypatch):
@@ -213,7 +227,7 @@ def test_sweep_counts_per_n(n):
         1 for t in plane_trees(n)
         if t.max_degree() >= 3 and not _layout_prunes(t)
     )
-    survivors, pruned, generated = _classify_chunk((n, (-1,), True))
+    survivors, pruned, generated = _classify_chunk((n, None, True))
     assert (generated, layout_kept, generated - pruned, len(survivors)) == (
         SWEEP_COUNTS[n]
     )

@@ -145,6 +145,18 @@ def test_distance_builds_no_table():
     assert g._dist is None
 
 
+@pytest.mark.parametrize(
+    "u, v", [(True, 3), (3, False), (1.0, 2), (0, 5), (-1, 2)]
+)
+def test_distance_refuses_what_is_no_vertex_id(u, v):
+    g = cycle(5)
+    # True used to pass as vertex 1, and 1.0 failed in a bit shift
+    with pytest.raises(GraphError, match="is not a vertex id"):
+        g.distance(u, v)
+    with pytest.raises(GraphError, match="is not a vertex id"):
+        g.distance(u, v, cap=2)
+
+
 def test_require_edge_accepts_and_rejects():
     g = cycle(4)
     assert require_edge(g, (2, 1)) == (2, 1)

@@ -17,6 +17,8 @@ from ricci_halin.halin import (
     lemma32_violated,
     lemma33_violated,
     parse_family_spec,
+    centroid_trees,
+    corner_rootings,
     plane_trees,
     tree_profile,
     wheel,
@@ -66,36 +68,103 @@ def test_plane_trees_match_the_nested_shape_recursion():
             (t.n, t.parent, t.leaves, t.hub) for t in want
         ]
         assert all(a.parent < b.parent for a, b in zip(got, got[1:]))
+        for t in got:  # leaves and hub, by each vertex's own degree
+            deg = [t.tree_degree(v) for v in range(n)]
+            assert t.leaves == tuple(v for v in range(n) if deg[v] == 1)
+            assert t.hub == min(v for v in range(n) if deg[v] == max(deg))
 
 
-def test_plane_trees_under_each_prefix_part_the_stream():
-    for n in range(1, 9):
-        stream = [t.parent for t in plane_trees(n)]
-        for k in range(1, n + 1):
-            parted = [
-                t.parent
-                for head in plane_trees(k)
-                for t in plane_trees(n, head.parent)
-            ]
-            assert parted == stream
-    assert [t.parent for t in plane_trees(4, (-1, 0, 1, 1))] == [
-        (-1, 0, 1, 1)
-    ]
+# plane trees on n = 4..13 vertices, paths included (OEIS A002995)
+PLANE_TREE_COUNTS = {
+    4: 2, 5: 3, 6: 6, 7: 14, 8: 34, 9: 95, 10: 280, 11: 854, 12: 2694,
+    13: 8714,
+}
+
+
+def test_centroid_trees_count_the_plane_trees():
+    for n, count in PLANE_TREE_COUNTS.items():
+        assert sum(1 for _ in centroid_trees(n)) == count
+
+
+def test_rootings_of_the_plane_trees_are_catalan_many():
+    for n in range(2, 14):
+        rootings = sum(2 * (n - 1) // s for _, s in centroid_trees(n))
+        assert rootings == comb(2 * n - 2, n - 1) // n  # Catalan(n-1)
+
+
+def test_centroid_trees_are_rooted_at_a_centroid():
+    for n in range(2, 11):
+        for t, _ in centroid_trees(n):
+            sizes = [0] * n  # subtree sizes, leaves up
+            for v in range(n - 1, 0, -1):
+                sizes[v] += 1
+                sizes[t.parent[v]] += sizes[v]
+            assert all(
+                2 * sizes[v] <= n for v in range(1, n) if t.parent[v] == 0
+            )
+
+
+def _least_rotation(seq):
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def test_corner_rootings_part_the_rooted_stream():
+    for n in range(2, 11):
+        stream = {t.parent: t for t in plane_trees(n)}
+        parted = []
+        for t, s in centroid_trees(n):
+            corners = list(corner_rootings(t))
+            assert len(corners) == 2 * (n - 1)
+            rooted = sorted({parent for parent, _ in corners})
+            assert len(rooted) == 2 * (n - 1) // s
+            assert all(
+                [p for p, _ in corners].count(parent) == s
+                for parent in rooted
+            )
+            for parent, hub in corners:
+                # the rooting's own hub, named by its id in t, gives the
+                # rooting's layout
+                r = stream[parent]
+                assert t.tree_degree(hub) == r.tree_degree(r.hub)
+                if len(t.leaves) >= 3:
+                    a, b = tree_profile(t, hub), tree_profile(r)
+                    assert sorted(a.tree_dist) == sorted(b.tree_dist)
+                    assert _least_rotation(a.sizes) == _least_rotation(b.sizes)
+                    assert _least_rotation(a.joins) == _least_rotation(b.joins)
+            parted.extend(rooted)
+        assert sorted(parted) == list(stream)
+
+
+def test_centroid_trees_under_each_first_branch_part_the_stream():
+    for n in range(2, 12):
+        stream = sorted((t.parent, s) for t, s in centroid_trees(n))
+        parted = sorted(
+            (t.parent, s)
+            for k in range(1, n // 2 + 1)
+            for head in plane_trees(k)
+            for t, s in centroid_trees(n, head.parent)
+        )
+        assert parted == stream
 
 
 @pytest.mark.parametrize(
-    "prefix",
+    "first",
     [
         (),
         (0,),
         (-1, 1),  # 1 below itself
-        (-1, 0, 0, 1),  # 1 left the rightmost path when 2 hung below 0
-        (-1, 0, 1, 2, 3, 4),  # longer than the tree
+        (-1, 0, 0, 1),  # 3 below 1, which has left the rightmost path
+        (-1, 0, 1, 2),  # more than n/2 vertices
     ],
 )
-def test_plane_trees_refuse_a_bad_prefix(prefix):
+def test_centroid_trees_refuse_a_bad_first_branch(first):
     with pytest.raises(HalinError):
-        list(plane_trees(5, prefix))
+        list(centroid_trees(6, first))
+
+
+def test_centroid_trees_need_an_edge():
+    with pytest.raises(ValueError):
+        list(centroid_trees(1))
 
 
 def test_plane_trees_need_a_vertex():
