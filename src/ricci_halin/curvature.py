@@ -33,6 +33,7 @@ from typing import Sequence
 from .graph import (
     Graph,
     GraphError,
+    _decimal,
     _is_int,
     edge_in_c3_or_c4,
     require_edge,
@@ -382,11 +383,8 @@ def certificate_from_json(
         for k, val in raw.items():
             if not _is_int(val):
                 raise CurvatureError(f"non-integer value {val!r} in 'f'")
-            try:
-                v = int(k)
-            except ValueError:
-                v = None
-            if str(v) != k:  # int() also reads "01", " 3", "1_0" and "-0"
+            v = _decimal(k)
+            if v is None:
                 raise CurvatureError(f"vertex id {k!r} in 'f' is not decimal")
             f[v] = val
         return LipschitzCertificate((edge[0], edge[1]), f)

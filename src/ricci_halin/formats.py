@@ -1,7 +1,8 @@
 """Reading and writing graphs: edge-list text, graph6, DOT.
 
 Edge-list format: first non-comment line "n m", then m lines "u v" with
-0-based vertex ids.  Lines starting with '#' are comments.
+0-based vertex ids, all in plain ASCII decimal.  Lines starting with '#'
+are comments.
 
 graph6: the standard 6-bit ASCII encoding of the upper adjacency triangle
 in column order x(0,1), x(0,2), x(1,2), x(0,3), ...; the ">>graph6<<"
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, GraphError, normalize_edge
+from .graph import Graph, GraphError, _decimal, normalize_edge
 
 GRAPH6_HEADER = b">>graph6<<"
 
@@ -62,6 +63,8 @@ def to_graph6(g: Graph) -> bytes:
 
 def from_graph6(data: bytes | str) -> Graph:
     if isinstance(data, str):
+        if not data.isascii():
+            raise GraphError("graph6 input is not ASCII")
         data = data.encode("ascii")
     data = data.strip()
     if data.startswith(GRAPH6_HEADER):
@@ -106,10 +109,9 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError(f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphError(f"expected header 'n m', got {lines[0]!r}") from None
+    n, m = _decimal(head[0]), _decimal(head[1])
+    if n is None or m is None:
+        raise GraphError(f"expected header 'n m', got {lines[0]!r}")
     if n > m + 1:  # refused before n vertices are allocated
         raise GraphError(
             f"header promises {n} vertices and {m} edges; "
@@ -122,10 +124,9 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(f"bad edge line {ln!r}") from None
+        u, v = _decimal(parts[0]), _decimal(parts[1])
+        if u is None or v is None:
+            raise GraphError(f"bad edge line {ln!r}")
         e = normalize_edge(u, v)
         if e in edges:
             raise GraphError(f"repeated edge {ln!r}")
@@ -150,7 +151,7 @@ def detect_and_parse(text: str) -> Graph:
     )
     first = next(content, "")
     parts = first.split()
-    if len(parts) == 2 and all(p.isdigit() for p in parts):
+    if len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
         return parse_edge_list(text)
     if next(content, None) is not None:
         raise GraphError("graph6 input holds more than one graph")

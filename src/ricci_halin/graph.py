@@ -24,6 +24,17 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _decimal(text: str) -> int | None:
+    """The int that `text` writes in plain ASCII decimal, exactly as str()
+    writes it, else None: int() also reads "01", "+2", "1_0", " 3", "-0"
+    and the decimal digits of other scripts."""
+    try:
+        v = int(text)
+    except ValueError:
+        return None
+    return v if str(v) == text else None
+
+
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
     """Return the endpoints as an ordered pair (min, max)."""
     if u == v:

@@ -1,24 +1,29 @@
 """Exact optimal transport between probability measures on graph vertices.
 
-Costs are shortest-path distances, read pair by pair from
-`Graph.distance`.  A `Measure` holds its masses as positive integer
-numerators over one least common denominator, so the whole transport
-problem runs in integers: both measures are scaled to the lcm of their
-denominators, the common mass is stripped (kept in place, which is
-optimal for metric costs), and the residual problem is solved on the
-bipartite supply/demand network by primal-dual phases: one shortest-path
-pass per phase, then flow pushed along every tight path of the phase's
-length.  For the lazy measures of an edge the residual costs lie in
-{1, 2, 3}, so there are at most three phases.  The one `Fraction` a
-solve builds is its cost; the optimal coupling is kept as integer
-triples and read out as exact `Fraction` entries on demand.
+A `Measure` holds its masses as positive integer numerators over one
+least common denominator, so the whole transport problem runs in
+integers: both measures are scaled to the lcm of their denominators,
+the common mass is stripped (kept in place, which is optimal for metric
+costs), and the residual problem is solved on the bipartite
+supply/demand network.  With one source or one target the flow is
+forced.  Otherwise each source's costs are read off the neighbour
+bitmasks (1 if adjacent, 2 if a common neighbour, `Graph.distance`
+beyond) straight into cost classes: one bitmask of target indices per
+cost value.  The kernel `_min_cost_flow` solves the problem by
+primal-dual phases over these masks; the first phase labels each
+target with its column minimum, and each phase pushes flow along tight
+arcs, direct ones first, then paths found by a search over the masks.
+For the lazy measures of an edge the residual costs lie in {1, 2, 3},
+so there are at most three phases.  The kernel's final labels are an
+optimal dual, kept with the result.  The one `Fraction` a solve builds
+is its cost; the optimal coupling is kept as integer triples and read
+out as exact `Fraction` entries on demand.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, _is_int
 
@@ -112,14 +117,22 @@ class TransportResult:
     `Fraction` entries.
     """
 
-    __slots__ = ("cost", "_pairs", "_scale")
+    __slots__ = ("cost", "_pairs", "_scale", "_dual")
 
     def __init__(
-        self, cost: Fraction, pairs: list[tuple[int, int, int]], scale: int
+        self,
+        cost: Fraction,
+        pairs: list[tuple[int, int, int]],
+        scale: int,
+        dual: tuple[list[int], list[int], list[int]] | None,
     ):
         self.cost = cost
         self._pairs = pairs
         self._scale = scale
+        # (sources, targets, labels) of the residual problem, or None when
+        # no mass moves: labels[i] is source i's label and
+        # labels[len(sources) + j] target j's, an optimal dual
+        self._dual = dual
 
     @property
     def plan(self) -> tuple[CouplingEntry, ...]:
@@ -160,6 +173,18 @@ def vertex_measure(g: Graph, x: int, alpha: Fraction | int | str) -> Measure:
     return Measure._from_ints(num, q * d // r)
 
 
+class _Flow(tuple):
+    """One kernel solve.  It unpacks as (cost, carried) for callers that
+    need only the flow; `labels` holds the final node labels."""
+
+    def __new__(
+        cls, cost: int, carried: list[dict[int, int]], labels: list[int]
+    ):
+        self = super().__new__(cls, (cost, carried))
+        self.labels = labels
+        return self
+
+
 def _check_vertices(g: Graph, mu: Measure) -> None:
     for v in mu._num:
         if not 0 <= v < g.n:
@@ -167,124 +192,225 @@ def _check_vertices(g: Graph, mu: Measure) -> None:
 
 
 def _min_cost_flow(
-    cost: list[list[int]], supply: list[int], demand: list[int]
-) -> tuple[int, list[dict[int, int]]]:
-    """Exact transportation problem by primal-dual phases.
+    cost: Sequence[Sequence[int] | dict[int, int]],
+    supply: list[int],
+    demand: list[int],
+) -> _Flow:
+    """Exact transportation problem by primal-dual phases over bitmasks.
 
-    Returns the optimal cost and the flow, as carried[j][i] = units that
-    supply i sends to demand j.  Each phase labels the nodes with their
-    shortest residual distance d from the supplies that still have mass
-    (Dijkstra on costs reduced by the previous phase's labels, which keeps
-    every residual arc non-negative), then pushes flow along tight arcs,
-    d[a] + cost == d[b], until no tight path reaches an unmet demand at
-    the phase's distance D.  Every pushed path costs exactly D.  Costs are
-    positive integers, so D grows by at least 1 per phase: there are at
-    most max(cost) phases, and at most 3 for the lazy measures of an edge.
+    cost[i] is supply i's row: its positive integer costs by demand
+    index, or its cost classes, a dict from each cost c to the bitmask
+    of the demand indices j at cost c (every demand in one class).
+    Every supply is positive.  Returns the optimal cost and the flow, as
+    carried[j][i] = units that supply i sends to demand j, with the
+    final labels d, supplies then demands, as `.labels`: an optimal
+    dual, with d[j] - d[i] <= cost[i][j] on every arc and equality on
+    every arc that carries flow.
+
+    The demands' labels are kept as one bitmask per label value, so the
+    tight arcs of supply i, those with d[i] + c == d[j], are the OR over
+    its cost classes c of class_c & level[d[i] + c].  A supply with mass
+    left is a root and stays at label 0.  A phase pushes flow from the
+    roots to the unmet demands at its distance D, the least label of an
+    unmet demand: first along direct arcs of cost D, then along tight
+    paths found by a search over the masks, which steps back along
+    flow-carrying arcs; those are always tight.  Every pushed path costs
+    exactly D.  The first phase labels without a search: with no flow
+    yet, a demand's label is the minimum of its column.  Later phases
+    relabel by a bucket scan of the reduced distances, which are
+    non-negative, so labels only grow, and no label passes max(cost).  D
+    grows by at least 1 per phase, so there are at most max(cost)
+    phases, and at most 3 for the lazy measures of an edge.
     """
+    if sum(supply) != sum(demand):
+        raise TransportError("infeasible transport instance")
     ns, nd = len(supply), len(demand)
+    classes: list[dict[int, int]] = []
+    for row in cost:
+        if not isinstance(row, dict):
+            costs, row = row, {}
+            for j, c in enumerate(costs):
+                row[c] = row.get(c, 0) | 1 << j
+        classes.append(row)
     carried: list[dict[int, int]] = [{} for _ in range(nd)]
     rem_s = list(supply)
     rem_d = list(demand)
-    remaining = sum(supply)
-    total_cost = 0
-    inf = float("inf")
-    # node a < ns is supply a; node ns + j is demand j
-    pot = [0] * (ns + nd)
-    while remaining > 0:
-        red = [inf] * (ns + nd)
-        heap = [(0, i) for i in range(ns) if rem_s[i] > 0]
-        for _, i in heap:
-            red[i] = 0
-        done = bytearray(ns + nd)
-        while heap:
-            k, a = heappop(heap)
-            if done[a]:
-                continue
-            done[a] = 1
-            base = k + pot[a]
-            if a < ns:
-                row = cost[a]
-                for j in range(nd):
-                    b = ns + j
-                    alt = base + row[j] - pot[b]
-                    if alt < red[b]:
-                        red[b] = alt
-                        heappush(heap, (alt, b))
-            else:
-                j = a - ns
-                for i in carried[j]:
-                    alt = base - cost[i][j] - pot[i]
-                    if alt < red[i]:
-                        red[i] = alt
-                        heappush(heap, (alt, i))
-        d = [r + p for r, p in zip(red, pot)]
-        reach = min(
-            (d[ns + j] for j in range(nd) if rem_d[j] > 0), default=inf
+    unmet = sum(1 << j for j in range(nd) if demand[j])
+    total = 0
+    label = [0] * ns
+    # level[k]: bitmask of the demands at label k, first the column minima
+    column: dict[int, int] = {}
+    for cls in classes:
+        for c, m in cls.items():
+            column[c] = column.get(c, 0) | m
+    level: dict[int, int] = {}
+    covered = 0
+    for c in sorted(column):
+        if column[c] & ~covered:
+            level[c] = column[c] & ~covered
+            covered |= column[c]
+    while unmet:
+        reach = min(k for k, m in level.items() if m & unmet)
+        sinks = level[reach] & unmet
+        # a root is at 0, so its tight arcs into the sinks are its arcs
+        # of cost reach; roots with fewer of them push first, which
+        # leaves fewer paths to the search
+        roots = sorted(
+            (i for i in range(ns) if rem_s[i]),
+            key=lambda i: (classes[i].get(reach, 0) & sinks).bit_count(),
         )
-        if reach == inf:
-            raise TransportError("infeasible transport instance")
-        pot = d
-        # tight forward arcs; a flow-carrying arc is tight in both directions
-        tight: list[list[int]] = [[] for _ in range(ns)]
-        tight_in: list[list[int]] = [[] for _ in range(nd)]
-        for i in range(ns):
-            di = d[i]
-            row = cost[i]
-            for j in range(nd):
-                if di + row[j] == d[ns + j]:
-                    tight[i].append(j)
-                    tight_in[j].append(i)
-        while True:
-            prev = [-1] * (ns + nd)
-            seen = bytearray(ns + nd)
-            stack = [i for i in range(ns) if rem_s[i] > 0]
-            for i in stack:
-                seen[i] = 1
-            sink = -1
-            while stack and sink < 0:
-                a = stack.pop()
-                if a < ns:
-                    for j in tight[a]:
-                        b = ns + j
-                        if not seen[b]:
-                            seen[b] = 1
-                            prev[b] = a
-                            if rem_d[j] > 0 and d[b] == reach:
-                                sink = b
-                                break
-                            stack.append(b)
-                else:
-                    flows = carried[a - ns]
-                    for i in tight_in[a - ns]:
-                        if not seen[i] and flows.get(i):
-                            seen[i] = 1
-                            prev[i] = a
-                            stack.append(i)
-            if sink < 0:
+        for i in roots:
+            m = classes[i].get(reach, 0) & sinks
+            while m and rem_s[i]:
+                low = m & -m
+                m ^= low
+                j = low.bit_length() - 1
+                theta = min(rem_s[i], rem_d[j])
+                carried[j][i] = carried[j].get(i, 0) + theta
+                rem_s[i] -= theta
+                rem_d[j] -= theta
+                total += theta * reach
+                if not rem_d[j]:
+                    sinks ^= low
+                    unmet ^= low
+        while sinks:
+            path = _tight_path(classes, label, level, carried, rem_s, sinks)
+            if path is None:
                 break
-            path = []
-            root = sink
-            while prev[root] >= 0:
-                path.append((prev[root], root))
-                root = prev[root]
-            theta = min(rem_s[root], rem_d[sink - ns])
-            for a, b in path:
-                if a >= ns:  # backward arc demand -> supply
-                    theta = min(theta, carried[a - ns][b])
-            for a, b in path:
-                if a < ns:
-                    flows = carried[b - ns]
-                    flows[a] = flows.get(a, 0) + theta
-                else:
-                    flows = carried[a - ns]
-                    flows[b] -= theta
-                    if not flows[b]:
-                        del flows[b]
+            ahead, back = path
+            root, sink = ahead[-1][0], ahead[0][1]
+            theta = min(
+                rem_s[root], rem_d[sink], *(carried[j][i] for j, i in back)
+            )
             rem_s[root] -= theta
-            rem_d[sink - ns] -= theta
-            remaining -= theta
-            total_cost += theta * reach
-    return total_cost, carried
+            rem_d[sink] -= theta
+            total += theta * reach
+            for i, j in ahead:
+                carried[j][i] = carried[j].get(i, 0) + theta
+            for j, i in back:
+                left = carried[j][i] - theta
+                if left:
+                    carried[j][i] = left
+                else:
+                    del carried[j][i]
+            if not rem_d[sink]:
+                sinks ^= 1 << sink
+                unmet ^= 1 << sink
+        if unmet:
+            level = _relabel(classes, label, level, carried, rem_s)
+    labels = label + [0] * nd
+    for k, m in level.items():
+        while m:
+            low = m & -m
+            m ^= low
+            labels[ns + low.bit_length() - 1] = k
+    return _Flow(total, carried, labels)
+
+
+def _tight_path(
+    classes: list[dict[int, int]],
+    label: list[int],
+    level: dict[int, int],
+    carried: list[dict[int, int]],
+    rem_s: list[int],
+    sinks: int,
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+    """A path of tight arcs from a supply with mass left to a demand in
+    the bitmask `sinks`, or None.  A depth-first search over the masks:
+    from supply i it reaches every unseen demand of its tight mask, and
+    from a demand it steps back to the supplies that send it flow.
+    Returns the path's tight arcs (i, j), from the sink back to the
+    root, and the flow arcs (j, i) it steps back along."""
+    ns = len(rem_s)
+    # via_s[i]: -1 for a root, else the demand that i was reached back
+    # from; via_d[j]: the supply whose tight arc reached j
+    via_s = [-2] * ns
+    stack = [i for i in range(ns) if rem_s[i]]
+    for i in stack:
+        via_s[i] = -1
+    via_d = [0] * len(carried)
+    seen = 0
+    while stack:
+        i = stack.pop()
+        base = label[i]
+        new = 0
+        for c, m in classes[i].items():
+            new |= m & level.get(base + c, 0)
+        new &= ~seen
+        seen |= new
+        hit = new & sinks
+        if hit:
+            j = (hit & -hit).bit_length() - 1
+            ahead = []
+            back = []
+            while True:
+                ahead.append((i, j))
+                j = via_s[i]
+                if j < 0:
+                    return ahead, back
+                back.append((j, i))
+                i = via_d[j]
+        while new:
+            low = new & -new
+            new ^= low
+            j = low.bit_length() - 1
+            via_d[j] = i
+            for k in carried[j]:
+                if via_s[k] == -2:
+                    via_s[k] = j
+                    stack.append(k)
+    return None
+
+
+def _relabel(
+    classes: list[dict[int, int]],
+    label: list[int],
+    level: dict[int, int],
+    carried: list[dict[int, int]],
+    rem_s: list[int],
+) -> dict[int, int]:
+    """The next phase's labels: updates the supplies' `label` in place
+    and returns the demands' levels.  Scans the reduced distances
+    r = 0, 1, ... in order, as a bucket queue: a demand at label k that
+    is first offered k + r settles at r, and so does a supply reached
+    back from it along a flow arc, whose reduced cost is 0; the roots
+    settle at 0."""
+    ns = len(rem_s)
+    old = list(level.items())
+    level = {}
+    offers: dict[int, int] = {}  # label t -> the demands offered t
+    fresh = [i for i in range(ns) if rem_s[i]]
+    done = bytearray(ns)
+    for i in fresh:
+        done[i] = 1
+    everyone = (1 << len(carried)) - 1
+    settled = 0
+    r = 0
+    while settled != everyone:
+        for i in fresh:
+            base = label[i]
+            for c, m in classes[i].items():
+                offers[base + c] = offers.get(base + c, 0) | m
+        fresh = []
+        new = 0
+        for k, m in old:
+            hit = offers.get(k + r, 0) & m & ~settled
+            if hit:
+                new |= hit
+                level[k + r] = level.get(k + r, 0) | hit
+        if not new:
+            r += 1
+            continue
+        settled |= new
+        while new:
+            low = new & -new
+            new ^= low
+            for i in carried[low.bit_length() - 1]:
+                if not done[i]:
+                    done[i] = 1
+                    label[i] += r
+                    fresh.append(i)
+    return level
 
 
 def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
@@ -311,18 +437,59 @@ def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
         if v not in mu_num:
             res_d[v] = k * b
     if not res_s:
-        return TransportResult(ZERO, pairs, scale)
+        return TransportResult(ZERO, pairs, scale, None)
     sources = sorted(res_s)
     targets = sorted(res_d)
-    supply = [res_s[u] for u in sources]
-    demand = [res_d[v] for v in targets]
     distance = g._distance
-    cost = [[distance(u, v) for v in targets] for u in sources]
-    total, carried = _min_cost_flow(cost, supply, demand)
-    for v, flows in zip(targets, carried):
-        for i, k in flows.items():
-            pairs.append((sources[i], v, k))
-    return TransportResult(Fraction(total, scale), pairs, scale)
+    # with one source or one target the flow is forced, and labels that
+    # make every arc tight are an optimal dual
+    if len(sources) == 1:
+        u = sources[0]
+        cost = [distance(u, v) for v in targets]
+        pairs.extend((u, v, res_d[v]) for v in targets)
+        total = sum(c * res_d[v] for c, v in zip(cost, targets))
+        labels = [0, *cost]
+    elif len(targets) == 1:
+        v = targets[0]
+        cost = [distance(u, v) for u in sources]
+        pairs.extend((u, v, res_s[u]) for u in sources)
+        total = sum(c * res_s[u] for c, u in zip(cost, sources))
+        top = max(cost)
+        labels = [top - c for c in cost] + [top]
+    else:
+        # each source's cost classes over the target indices, read off
+        # the neighbour bitmasks: 1 if adjacent, 2 if a common neighbour
+        masks = g._masks
+        columns = [(1 << j, v, masks[v]) for j, v in enumerate(targets)]
+        classes = []
+        for u in sources:
+            near = masks[u]
+            ones = twos = 0
+            cls: dict[int, int] = {}
+            for bit, v, mv in columns:
+                if near >> v & 1:
+                    ones |= bit
+                elif near & mv:
+                    twos |= bit
+                else:
+                    c = distance(u, v)
+                    cls[c] = cls.get(c, 0) | bit
+            if ones:
+                cls[1] = ones
+            if twos:
+                cls[2] = twos
+            classes.append(cls)
+        flow = _min_cost_flow(
+            classes, [res_s[u] for u in sources], [res_d[v] for v in targets]
+        )
+        total, carried = flow
+        labels = flow.labels
+        for v, flows in zip(targets, carried):
+            for i, k in flows.items():
+                pairs.append((sources[i], v, k))
+    return TransportResult(
+        Fraction(total, scale), pairs, scale, (sources, targets, labels)
+    )
 
 
 def coupling_cost(g: Graph, plan: Iterable[CouplingEntry]) -> Fraction:

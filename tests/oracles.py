@@ -91,6 +91,30 @@ def transportation_network_simplex(
     return total
 
 
+def check_transport_dual(cost, supply, demand, flow, labels, total) -> None:
+    """Assert that `labels` prove `flow` optimal by LP duality.
+
+    cost[i][j] is the unit cost from supply i to demand j, flow maps
+    (i, j) to the mass sent, and labels holds d for the supplies, then
+    the demands.  Checks d_j - d_i <= c_ij on every arc, equality on
+    every arc that carries flow, and sum demand*d - sum supply*d ==
+    total, the flow's cost: a feasible dual whose value is the primal
+    cost proves both optimal."""
+    ns = len(supply)
+    assert len(labels) == ns + len(demand)
+    for i, row in enumerate(cost):
+        for j, c in enumerate(row):
+            assert labels[ns + j] - labels[i] <= c, f"arc ({i}, {j}) violated"
+    for (i, j), mass in flow.items():
+        assert mass > 0
+        slack = cost[i][j] - labels[ns + j] + labels[i]
+        assert slack == 0, f"flow arc ({i}, {j}) has slack {slack}"
+    value = sum(m * labels[ns + j] for j, m in enumerate(demand)) - sum(
+        m * labels[i] for i, m in enumerate(supply)
+    )
+    assert value == total
+
+
 def wasserstein_network_simplex(g: Graph, mu: Measure, nu: Measure) -> Fraction:
     """Minimum transport cost via networkx's network simplex."""
     scale = lcm(

@@ -106,6 +106,12 @@ def test_edge_list_comments_and_whitespace():
         "2 1\n0 3\n",  # edge out of range (GraphError from Graph)
         "4 2\n0 1\n2 3\n",  # 4 vertices cannot be connected by 2 edges
         "3 3\n0 1\n1 2\n1 0\n",  # repeated edge, reversed
+        # ids and counts are plain ASCII decimal, though int() reads these
+        "2 1\n0 +1\n",
+        "3 2\n0 1\n1 0_2\n",
+        "2 1\n1 \u0660\n",  # an Arabic-Indic zero
+        "\u0662 1\n0 1\n",
+        "2 01\n0 1\n",
     ],
 )
 def test_edge_list_rejects_malformed(text):
@@ -135,6 +141,9 @@ def test_detect_and_parse_both_formats():
         detect_and_parse("C~\nD]{\n")
     # comments and blank lines around a single graph6 line are fine
     assert detect_and_parse("# K4\n\nC~\n\n") == detect_and_parse("C~")
+    # a header of digits from another script is neither format
+    with pytest.raises(GraphError):
+        detect_and_parse("\u0664 4\n0 1\n0 2\n0 3\n1 2\n")
 
 
 def test_dot_output_plain_and_labeled():

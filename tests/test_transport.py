@@ -1,6 +1,7 @@
 """Exact Wasserstein distances, measures, and coupling validation."""
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -20,6 +21,7 @@ from ricci_halin.transport import (
 )
 
 from oracles import (
+    check_transport_dual,
     random_connected_graph,
     random_gnp_graph,
     random_measure,
@@ -246,6 +248,154 @@ def test_kernel_matches_network_simplex_on_random_costs():
             for j, flows in enumerate(carried)
             for i, amount in flows.items()
         )
+
+
+def test_kernel_labels_are_an_optimal_dual_on_random_costs():
+    # the instances of test_kernel_matches_network_simplex_on_random_costs
+    rng = random.Random(97)
+    for _ in range(600):
+        ns, nd = rng.randint(1, 8), rng.randint(1, 8)
+        cost = [[rng.randint(1, 9) for _ in range(nd)] for _ in range(ns)]
+        supply = [rng.randint(1, 9) for _ in range(ns)]
+        demand = [rng.randint(1, 9) for _ in range(nd)]
+        excess = sum(supply) - sum(demand)
+        if excess > 0:
+            demand[-1] += excess
+        else:
+            supply[-1] -= excess
+        flow = _min_cost_flow(cost, supply, demand)
+        total, carried = flow
+        sent = {
+            (i, j): amount
+            for j, flows in enumerate(carried)
+            for i, amount in flows.items()
+        }
+        check_transport_dual(cost, supply, demand, sent, flow.labels, total)
+
+
+def test_kernel_takes_cost_classes_as_rows():
+    # a row may come as {cost: bitmask of demand indices}, as wasserstein
+    # passes it, or as a list of costs
+    cost = [[1, 3, 2], [2, 1, 1]]
+    classes = [{1: 0b001, 3: 0b010, 2: 0b100}, {2: 0b001, 1: 0b110}]
+    supply, demand = [2, 3], [1, 2, 2]
+    by_list = _min_cost_flow(cost, supply, demand)
+    by_mask = _min_cost_flow(classes, supply, demand)
+    assert by_list[0] == by_mask[0] == 6
+    assert transportation_network_simplex(cost, supply, demand) == 6
+    assert by_list[1] == by_mask[1] and by_list.labels == by_mask.labels
+
+
+def _residual(g, mu, nu):
+    """The problem left once the common mass stays in place: (sources,
+    targets, supply, demand, cost), masses as Fractions and costs from
+    the all-pairs table."""
+    keys = set(mu.support()) | set(nu.support())
+    sources = sorted(v for v in keys if mu[v] > nu[v])
+    targets = sorted(v for v in keys if nu[v] > mu[v])
+    supply = [mu[v] - nu[v] for v in sources]
+    demand = [nu[v] - mu[v] for v in targets]
+    cost = [[g.dist[u][v] for v in targets] for u in sources]
+    return sources, targets, supply, demand, cost
+
+
+def _checked_wasserstein(g, mu, nu):
+    """wasserstein(g, mu, nu), checked against network simplex, as a
+    coupling, and by LP duality on the labels it keeps; returns it with
+    its residual problem."""
+    r = wasserstein(g, mu, nu)
+    assert r.cost == wasserstein_network_simplex(g, mu, nu)
+    assert check_coupling(g, mu, nu, r.plan) == r.cost
+    residual = sources, targets, supply, demand, cost = _residual(g, mu, nu)
+    if not sources:
+        assert r._dual is None and r.cost == 0
+        return r, residual
+    kept_sources, kept_targets, labels = r._dual
+    assert (list(kept_sources), list(kept_targets)) == (sources, targets)
+    at_s = {u: i for i, u in enumerate(sources)}
+    at_t = {v: j for j, v in enumerate(targets)}
+    sent = {(at_s[u], at_t[v]): m for u, v, m in r.plan if u != v}
+    check_transport_dual(cost, supply, demand, sent, labels, r.cost)
+    return r, residual
+
+
+def test_wasserstein_labels_are_an_optimal_dual_on_lazy_edge_measures():
+    rng = random.Random(8080)
+    graphs = [wheel(7).graph, random_gnp_graph(random.Random(40), 40, 0.5)]
+    for _ in range(12):
+        n = rng.randint(4, 16)
+        graphs.append(random_connected_graph(rng, n, rng.randint(0, 2 * n)))
+    for g in graphs:
+        for x, y in g.edges()[::max(1, g.num_edges() // 12)]:
+            alpha = F(1, max(g.degree(x), g.degree(y)) + 1)
+            _checked_wasserstein(
+                g, vertex_measure(g, x, alpha), vertex_measure(g, y, alpha)
+            )
+
+
+def test_wasserstein_takes_every_kernel_branch():
+    counts = dict.fromkeys(
+        [
+            "empty residual",
+            "one source",
+            "one target",
+            "column minima differ",
+            "direct push rerouted",
+            "row lacks a cost class",
+            "cost above 3",
+        ],
+        0,
+    )
+    rng = random.Random(6161)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(5, 14)
+        g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+        x, y = rng.choice(g.edges())
+        alpha = F(1, max(g.degree(x), g.degree(y)) + 1)
+        mu, nu = vertex_measure(g, x, alpha), vertex_measure(g, y, alpha)
+        cases.append((g, mu, nu))
+    c40 = cycle(40)
+    for _ in range(40):
+        mu = random_measure(rng, c40, 4, 6)
+        cases.append((c40, mu, random_measure(rng, c40, 4, 6)))
+    k8 = Graph(8, combinations(range(8), 2))
+    alpha = F(1, 8)  # both lazy measures are uniform on all 8 vertices
+    mu, nu = vertex_measure(k8, 0, alpha), vertex_measure(k8, 1, alpha)
+    cases.append((k8, mu, nu))
+    for g, mu, nu in cases:
+        r, (sources, targets, supply, demand, cost) = _checked_wasserstein(
+            g, mu, nu
+        )
+        if not sources:
+            counts["empty residual"] += 1
+        elif len(sources) == 1:
+            counts["one source"] += 1
+        elif len(targets) == 1:
+            counts["one target"] += 1
+        else:
+            costs = {c for row in cost for c in row}
+            minima = {min(column) for column in zip(*cost)}
+            counts["column minima differ"] += len(minima) > 1
+            lacking = any(set(row) != costs for row in cost)
+            counts["row lacks a cost class"] += lacking
+            counts["cost above 3"] += max(costs) > 3
+            # the first phase pushes along the cheapest arcs; a lone one
+            # leaves it carrying min(supply, demand), so any less at the
+            # end was rerouted along a backward arc by a later phase
+            cheapest = [
+                (i, j)
+                for i, row in enumerate(cost)
+                for j, c in enumerate(row)
+                if c == min(costs)
+            ]
+            if len(cheapest) == 1:
+                (i, j), = cheapest
+                arc = (sources[i], targets[j])
+                kept = sum(m for u, v, m in r.plan if (u, v) == arc)
+                rerouted = kept < min(supply[i], demand[j])
+                counts["direct push rerouted"] += rerouted
+    assert all(counts.values()), counts
 
 
 def test_wasserstein_matches_network_simplex_on_wide_supports():
