@@ -13,7 +13,7 @@ used for here (a few dozen vertices, little symmetry beyond wheels).
 """
 from __future__ import annotations
 
-from .formats import from_graph6, pack_graph6, upper_triangle_bits
+from .formats import pack_graph6, upper_triangle_bits
 from .graph import Graph
 
 
@@ -76,11 +76,6 @@ def canonical_form(g: Graph) -> bytes:
     """graph6 encoding of the canonical relabeling of `g`."""
     cert = canonical_certificate(g.n, list(g._masks))
     return pack_graph6(g.n, cert, g.n * (g.n - 1) // 2)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of `g`."""
-    return from_graph6(canonical_form(g))
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

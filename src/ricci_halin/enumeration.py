@@ -9,12 +9,15 @@ it stands for (s its rotational symmetry order); graph-level canonical
 forms then collapse the plane trees into isomorphism classes.  Work
 units share n and the first branch at the centroid, and paths are
 skipped.  Optional pruning discards trees that certify a non-positively
-curved edge before any exact computation happens: the C3/C4 degree
-bound reads the neighbour bitmasks of the graph, in integers, and the
-layout rules (Lemmas 3.2 and 3.3) read the tree at each vertex of
-maximum degree that a rooting can take as its hub; no Graph is built
-for a tree in the sweep.  The counts and each class's least generating
-`parent` tuple are those of the sweep over every rooting.
+curved edge before any exact computation happens.  One function,
+`_kept_corners`, decides it for each plane tree: the C3/C4 degree bound
+reads the neighbour bitmasks of the graph, in integers, and the layout
+rules (Lemmas 3.2 and 3.3) read the tree at each vertex of maximum
+degree that a rooting can take as its hub; no Graph is built for a tree
+in the sweep.  A rooted tree is pruned exactly when its `parent` tuple
+is not among the corners that `_kept_corners` keeps for its plane tree.
+The counts and each class's least generating `parent` tuple are those
+of the sweep over every rooting.
 
 Curvature reports for surviving classes are computed on the canonically
 relabeled representative so that serialized output is deterministic.
@@ -159,17 +162,6 @@ def _degree_bound_prunes(
     return False
 
 
-def prune_negative(t: PlaneTree, g: Graph) -> bool:
-    """True only when a certified bound forces an edge with kappa <= 0 in
-    g, the Halin graph of t: Lemma 3.2 or Lemma 3.3 on the tree layout,
-    else the C3/C4 degree bound on some edge.
-
-    Sound, not complete: wheels near the positivity boundary pass the
-    lemmas and are settled by exact computation.
-    """
-    return _layout_prunes(t) or _degree_bound_prunes(g._masks, g.edges())
-
-
 def _keep_least(
     survivors: dict[tuple[int, int], tuple[int, ...]],
     key: tuple[int, int],
@@ -198,6 +190,48 @@ def _units(n_max: int, use_pruning: bool) -> list[_Unit]:
     ]
 
 
+def _kept_corners(
+    t: PlaneTree, use_pruning: bool = True
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The sweep's verdict on a plane tree t that is not a path: the
+    neighbour bitmasks of its Halin graph, and the `parent` tuple of
+    each corner of t whose rooting survives, a rooting of symmetry order
+    s appearing s times.  So a rooted tree t is pruned exactly when
+    t.parent is not among them.
+
+    Pruning is sound, not complete: a rooting is dropped only when a
+    certified bound forces an edge with kappa <= 0, and wheels near the
+    positivity boundary pass and are settled by exact computation.
+    The degree bound reads the graph, so it prunes every corner or none;
+    the layout rules read a rooting only through its hub, the first
+    vertex of maximum degree in its preorder, so they are decided once
+    per vertex of maximum degree, and only the corners of a tree some
+    rooting of which survives are expanded.
+    """
+    n = t.n
+    tree_e, cycle_e = halin_edges(t)
+    # cycle edges first: the degree bound most often certifies one
+    edges = cycle_e + tree_e
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    kept = range(n)  # the hubs at which the layout keeps the tree
+    if use_pruning:
+        if _degree_bound_prunes(masks, edges):
+            return masks, []
+        deg = [t.tree_degree(v) for v in range(n)]
+        kept = {
+            h for h in range(n)
+            if deg[h] == deg[t.hub] and not _layout_prunes(t, h)
+        }
+        if not kept:
+            return masks, []
+    return masks, [
+        parent for parent, hub in corner_rootings(t) if hub in kept
+    ]
+
+
 def _classify_chunk(
     unit: _Unit,
 ) -> tuple[dict[tuple[int, int], tuple[int, ...]], int, int]:
@@ -207,12 +241,8 @@ def _classify_chunk(
     trees pruned and of rooted trees examined (those of max degree >= 3).
 
     Each plane tree is visited once and stands for R = 2(n-1)/s rooted
-    trees, all with one Halin graph.  The degree bound reads the graph,
-    so it prunes all R or none; the layout rules read a rooting only
-    through its hub, the first vertex of maximum degree in its preorder,
-    so they are decided once per vertex of maximum degree.  Only a tree
-    some rooting of which survives has its corners expanded, to count
-    the survivors and find the least.
+    trees, all with one Halin graph; `_kept_corners` decides which of
+    them survive.
     """
     n, first, use_pruning = unit
     survivors: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -223,33 +253,12 @@ def _classify_chunk(
             continue
         rootings = 2 * (n - 1) // s
         generated += rootings
-        tree_e, cycle_e = halin_edges(t)
-        # cycle edges first: the degree bound most often certifies one
-        edges = cycle_e + tree_e
-        masks = [0] * n
-        for u, v in edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        kept = range(n)  # the hubs at which the layout keeps the tree
-        if use_pruning:
-            if _degree_bound_prunes(masks, edges):
-                pruned += rootings
-                continue
-            deg = [t.tree_degree(v) for v in range(n)]
-            kept = {
-                h for h in range(n)
-                if deg[h] == deg[t.hub] and not _layout_prunes(t, h)
-            }
-            if not kept:
-                pruned += rootings
-                continue
-        corners = [
-            parent for parent, hub in corner_rootings(t) if hub in kept
-        ]
+        masks, corners = _kept_corners(t, use_pruning)
         # each kept rooted tree comes from s corners
         pruned += rootings - len(corners) // s
-        key = (n, canonical_certificate(n, masks))
-        _keep_least(survivors, key, min(corners))
+        if corners:
+            key = (n, canonical_certificate(n, masks))
+            _keep_least(survivors, key, min(corners))
     return survivors, pruned, generated
 
 
@@ -268,8 +277,9 @@ def family_counts(
 def _sweep(
     units: list[_Unit], workers: int
 ) -> Iterator[tuple[dict[tuple[int, int], tuple[int, ...]], int, int]]:
-    """Each unit's result: in-process for workers <= 1, else on a pool
-    of that many, in any order."""
+    """Each unit's result, in any order: in-process on one worker, else
+    on a pool of that many processes, but no more than there are units."""
+    workers = min(workers, len(units))
     if workers <= 1:
         yield from map(_classify_chunk, units)
         return
@@ -302,6 +312,8 @@ def enumerate_halin(
     """Classify all generalized Halin graphs on at most n_max vertices."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     survivors, pruned, generated = _survivors(
         _units(n_max, use_pruning), workers
     )

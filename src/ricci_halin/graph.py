@@ -185,12 +185,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def neighbor_mask(self, v: int) -> int:
-        return self._masks[v]
-
-    def max_degree(self) -> int:
-        return max(len(a) for a in self.adj)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

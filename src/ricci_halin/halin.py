@@ -72,12 +72,6 @@ class PlaneTree:
     def tree_degree(self, v: int) -> int:
         return self.parent.count(v) + (v != 0)
 
-    def max_degree(self) -> int:
-        return self.tree_degree(self.hub)
-
-    def is_leaf(self, v: int) -> bool:
-        return self.tree_degree(v) == 1
-
     def tree_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.parent[1:], range(1, self.n)))
 
@@ -279,7 +273,8 @@ def halin_edges(
     leaves = t.leaves
     if len(leaves) < 3:
         raise HalinError(
-            f"maximum tree degree must be at least 3, got {t.max_degree()}"
+            "maximum tree degree must be at least 3, got "
+            f"{t.tree_degree(t.hub)}"
         )
     cycle = (*zip(leaves, leaves[1:]), (leaves[0], leaves[-1]))
     return t.tree_edges(), cycle
@@ -346,7 +341,8 @@ def tree_profile(t: PlaneTree, hub: int | None = None) -> ComponentProfile:
         hub = t.hub
     if len(leaves) < 3:  # a path: the hub has fewer than 3 branches
         raise HalinError(
-            f"maximum tree degree must be at least 3, got {t.max_degree()}"
+            "maximum tree degree must be at least 3, got "
+            f"{t.tree_degree(t.hub)}"
         )
     # tree distance from the hub and branch id (the hub's tree neighbour
     # leading to the vertex): up the hub's ancestors, whose branch is the

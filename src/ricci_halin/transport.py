@@ -9,10 +9,12 @@ supply/demand network.  With one source or one target the flow is
 forced.  Otherwise each source's costs are read off the neighbour
 bitmasks (1 if adjacent, 2 if a common neighbour, `Graph.distance`
 beyond) straight into cost classes: one bitmask of target indices per
-cost value.  The kernel `_min_cost_flow` solves the problem by
-primal-dual phases over these masks; the first phase labels each
-target with its column minimum, and each phase pushes flow along tight
-arcs, direct ones first, then paths found by a search over the masks.
+cost value, the one row format the kernel `_min_cost_flow` takes.  It
+solves the problem by primal-dual phases over these masks: one
+labelling pass, `_relabel`, sets the labels before each phase (before
+the first, with no flow yet, it settles each target at its column
+minimum), and each phase pushes flow along tight arcs, direct ones
+first, then paths found by a search over the masks.
 For the lazy measures of an edge the residual costs lie in {1, 2, 3},
 so there are at most three phases.  The kernel's final labels are an
 optimal dual, kept with the result.  The one `Fraction` a solve builds
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .graph import Graph, _is_int
 
@@ -173,18 +175,6 @@ def vertex_measure(g: Graph, x: int, alpha: Fraction | int | str) -> Measure:
     return Measure._from_ints(num, q * d // r)
 
 
-class _Flow(tuple):
-    """One kernel solve.  It unpacks as (cost, carried) for callers that
-    need only the flow; `labels` holds the final node labels."""
-
-    def __new__(
-        cls, cost: int, carried: list[dict[int, int]], labels: list[int]
-    ):
-        self = super().__new__(cls, (cost, carried))
-        self.labels = labels
-        return self
-
-
 def _check_vertices(g: Graph, mu: Measure) -> None:
     for v in mu._num:
         if not 0 <= v < g.n:
@@ -192,20 +182,20 @@ def _check_vertices(g: Graph, mu: Measure) -> None:
 
 
 def _min_cost_flow(
-    cost: Sequence[Sequence[int] | dict[int, int]],
+    classes: list[dict[int, int]],
     supply: list[int],
     demand: list[int],
-) -> _Flow:
+) -> tuple[int, list[dict[int, int]], list[int]]:
     """Exact transportation problem by primal-dual phases over bitmasks.
 
-    cost[i] is supply i's row: its positive integer costs by demand
-    index, or its cost classes, a dict from each cost c to the bitmask
-    of the demand indices j at cost c (every demand in one class).
-    Every supply is positive.  Returns the optimal cost and the flow, as
-    carried[j][i] = units that supply i sends to demand j, with the
-    final labels d, supplies then demands, as `.labels`: an optimal
-    dual, with d[j] - d[i] <= cost[i][j] on every arc and equality on
-    every arc that carries flow.
+    classes[i] is supply i's row of positive integer costs as cost
+    classes: a dict from each cost c to the bitmask of the demand
+    indices j at cost c, every demand in one class.  Every supply is
+    positive.  Returns (cost, carried, labels): the optimal cost, the
+    flow as carried[j][i] = units that supply i sends to demand j, and
+    the final labels d, supplies then demands, an optimal dual, with
+    d[j] - d[i] <= c_ij on every arc and equality on every arc that
+    carries flow.
 
     The demands' labels are kept as one bitmask per label value, so the
     tight arcs of supply i, those with d[i] + c == d[j], are the OR over
@@ -215,40 +205,24 @@ def _min_cost_flow(
     unmet demand: first along direct arcs of cost D, then along tight
     paths found by a search over the masks, which steps back along
     flow-carrying arcs; those are always tight.  Every pushed path costs
-    exactly D.  The first phase labels without a search: with no flow
-    yet, a demand's label is the minimum of its column.  Later phases
-    relabel by a bucket scan of the reduced distances, which are
-    non-negative, so labels only grow, and no label passes max(cost).  D
-    grows by at least 1 per phase, so there are at most max(cost)
-    phases, and at most 3 for the lazy measures of an edge.
+    exactly D.  Before each phase `_relabel` sets the labels by a bucket
+    scan of the reduced distances, which are non-negative, so labels
+    only grow, and no label passes max(cost); before the first, with no
+    flow yet and every label 0, it settles each demand at the minimum of
+    its column.  D grows by at least 1 per phase, so there are at most
+    max(cost) phases, and at most 3 for the lazy measures of an edge.
     """
     if sum(supply) != sum(demand):
         raise TransportError("infeasible transport instance")
     ns, nd = len(supply), len(demand)
-    classes: list[dict[int, int]] = []
-    for row in cost:
-        if not isinstance(row, dict):
-            costs, row = row, {}
-            for j, c in enumerate(costs):
-                row[c] = row.get(c, 0) | 1 << j
-        classes.append(row)
     carried: list[dict[int, int]] = [{} for _ in range(nd)]
     rem_s = list(supply)
     rem_d = list(demand)
     unmet = sum(1 << j for j in range(nd) if demand[j])
     total = 0
     label = [0] * ns
-    # level[k]: bitmask of the demands at label k, first the column minima
-    column: dict[int, int] = {}
-    for cls in classes:
-        for c, m in cls.items():
-            column[c] = column.get(c, 0) | m
-    level: dict[int, int] = {}
-    covered = 0
-    for c in sorted(column):
-        if column[c] & ~covered:
-            level[c] = column[c] & ~covered
-            covered |= column[c]
+    # level[k]: bitmask of the demands at label k
+    level = _relabel(classes, label, {0: (1 << nd) - 1}, carried, rem_s)
     while unmet:
         reach = min(k for k, m in level.items() if m & unmet)
         sinks = level[reach] & unmet
@@ -304,7 +278,7 @@ def _min_cost_flow(
             low = m & -m
             m ^= low
             labels[ns + low.bit_length() - 1] = k
-    return _Flow(total, carried, labels)
+    return total, carried, labels
 
 
 def _tight_path(
@@ -374,7 +348,8 @@ def _relabel(
     r = 0, 1, ... in order, as a bucket queue: a demand at label k that
     is first offered k + r settles at r, and so does a supply reached
     back from it along a flow arc, whose reduced cost is 0; the roots
-    settle at 0."""
+    settle at 0.  With no flow yet and every label 0, each demand
+    settles at the minimum of its column."""
     ns = len(rem_s)
     old = list(level.items())
     level = {}
@@ -479,11 +454,9 @@ def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
             if twos:
                 cls[2] = twos
             classes.append(cls)
-        flow = _min_cost_flow(
+        total, carried, labels = _min_cost_flow(
             classes, [res_s[u] for u in sources], [res_d[v] for v in targets]
         )
-        total, carried = flow
-        labels = flow.labels
         for v, flows in zip(targets, carried):
             for i, k in flows.items():
                 pairs.append((sources[i], v, k))

@@ -91,6 +91,19 @@ def transportation_network_simplex(
     return total
 
 
+def cost_classes(cost: list[list[int]]) -> list[dict[int, int]]:
+    """A cost matrix in the transport kernel's row format: row i as a
+    dict from each cost c to the bitmask of the columns j with
+    cost[i][j] == c."""
+    rows = []
+    for row in cost:
+        classes: dict[int, int] = {}
+        for j, c in enumerate(row):
+            classes[c] = classes.get(c, 0) | 1 << j
+        rows.append(classes)
+    return rows
+
+
 def check_transport_dual(cost, supply, demand, flow, labels, total) -> None:
     """Assert that `labels` prove `flow` optimal by LP duality.
 

@@ -17,7 +17,7 @@ from ricci_halin.curvature import (
     kappa_lly,
     kappa_lly_dual,
 )
-from ricci_halin.enumeration import enumerate_halin, prune_negative
+from ricci_halin.enumeration import _kept_corners, enumerate_halin
 from ricci_halin.halin import PlaneTree, build_halin, wheel
 
 from oracles import random_connected_graph, random_tree
@@ -79,15 +79,17 @@ def test_criterion_5_deep_zero_curvature_witness(classification13):
     # hub of tree-degree 4; two opposite branches carry two leaves each,
     # the other two are bare leaves
     witness = build_halin(PlaneTree.from_shape((((), ()), (), ((), ()), ())))
-    assert witness.source_tree.max_degree() == 4
+    t = witness.source_tree
+    assert t.tree_degree(t.hub) == 4
     report = curvature_report(witness.graph)
     assert report.min_curvature == 0
     zero_forms = {e.canonical for e in classification13.zero_classes}
     assert canonical_form(witness.graph) in zero_forms
-    degree4_zeros = [
-        e for e in classification13.zero_classes
-        if PlaneTree.from_shape(e.source_shape).max_degree() == 4
+    trees = [
+        PlaneTree.from_shape(e.source_shape)
+        for e in classification13.zero_classes
     ]
+    degree4_zeros = [t for t in trees if t.tree_degree(t.hub) == 4]
     assert degree4_zeros
     print("PASS criterion 5: the enumerator reports a maximum-tree-degree-4 "
           "class of minimum curvature exactly 0, including the 9-vertex "
@@ -142,8 +144,8 @@ def test_criterion_8_lemma_soundness(classification13):
                 assert kappa_lly(g, e) <= bound
                 bound_edges += 1
     for e in classification13.classes:
-        h = build_halin(PlaneTree.from_shape(e.source_shape))
-        assert not prune_negative(h.source_tree, h.graph)
+        t = PlaneTree.from_shape(e.source_shape)
+        assert t.parent in _kept_corners(t)[1]
     # up to 12 vertices, the range that holds every positive class
     assert (
         enumerate_halin(12, use_pruning=True).classes

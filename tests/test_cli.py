@@ -4,6 +4,8 @@ import io
 import json
 import random
 
+import pytest
+
 from ricci_halin.cli import main
 from ricci_halin.curvature import coupling_certificate, certificate_to_json, lipschitz_certificate
 from ricci_halin.formats import from_graph6, parse_edge_list, to_graph6, write_edge_list
@@ -202,6 +204,13 @@ def test_enum_two_workers_match_one(capsys):
     one = capsys.readouterr().out
     assert main(["enum", "--n-max", "5", "--workers", "2"]) == 0
     assert capsys.readouterr().out == one
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", [["enum", "--n-max", "5"], ["verify"]])
+def test_fewer_than_one_worker_is_refused(capsys, command, workers):
+    assert main([*command, "--workers", workers]) == 1
+    assert f"need workers >= 1, got {workers}" in capsys.readouterr().err
 
 
 def test_verify_full_run(capsys):

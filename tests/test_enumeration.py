@@ -14,6 +14,7 @@ from ricci_halin.enumeration import (
     FamilyLabel,
     _classify_chunk,
     _degree_bound_prunes,
+    _kept_corners,
     _layout_prunes,
     _survivors,
     _units,
@@ -61,7 +62,7 @@ def test_shapes_are_distinct_and_degree_matches_tree():
             t = PlaneTree.from_shape(shape)
             degs = list(degrees(shape))
             assert [t.tree_degree(v) for v in range(t.n)] == degs
-            assert t.max_degree() == max(degs)
+            assert t.tree_degree(t.hub) == max(degs)
 
 
 def test_smallest_plane_trees_build_k4():
@@ -69,7 +70,7 @@ def test_smallest_plane_trees_build_k4():
     trees = [
         t
         for t in map(PlaneTree.from_shape, ordered_tree_shapes(4))
-        if t.max_degree() >= 3
+        if t.tree_degree(t.hub) >= 3
     ]
     assert len(trees) == 2
     assert {t.parent for t in trees} == {(-1, 0, 0, 0), (-1, 0, 1, 1)}
@@ -154,11 +155,61 @@ def test_unit_split_and_order_do_not_change_survivors():
     )
 
 
+@pytest.mark.parametrize("use_pruning", [True, False])
 @pytest.mark.parametrize("workers", [2, 3])  # two pool sizes
-def test_parallel_run_matches_serial(workers):
+def test_parallel_run_matches_serial(workers, use_pruning):
     # the pool maps units that split each n, not only whole-n ones
-    assert sum(1 for n, _, _ in _units(9, True) if n == 9) > 1
-    assert enumerate_halin(9, workers=workers) == enumerate_halin(9, workers=1)
+    assert sum(1 for n, _, _ in _units(9, use_pruning) if n == 9) > 1
+    assert enumerate_halin(
+        9, use_pruning, workers=workers
+    ) == enumerate_halin(9, use_pruning, workers=1)
+
+
+def test_pool_is_no_larger_than_the_units(monkeypatch):
+    import multiprocessing
+
+    asked = []
+
+    class NoPool:
+        """Records the size asked for and maps in-process."""
+
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, units):
+            return map(func, units)
+
+    monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+    assert len(_units(4, True)) == 2
+    assert enumerate_halin(4, workers=8) == enumerate_halin(4)
+    assert asked == [2]
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_kept_corners_apply_the_rooted_rule(n):
+    # one rooting at a time, the sweep's verdict is the rooted sweep's:
+    # t is kept unless the layout rules at its own hub or the degree
+    # bound on its graph prune it
+    for t in plane_trees(n):
+        if len(t.leaves) < 3:  # a path
+            continue
+        masks, corners = _kept_corners(t)
+        tree_e, cycle_e = halin_edges(t)
+        want = not (
+            _layout_prunes(t)
+            or _degree_bound_prunes(masks, cycle_e + tree_e)
+        )
+        assert (t.parent in corners) == want
+        assert tuple(masks) == build_halin(t).graph._masks
+        _, every = _kept_corners(t, use_pruning=False)
+        assert len(every) == 2 * (n - 1) and t.parent in every
+        assert set(corners) <= set(every)
 
 
 @pytest.mark.parametrize(
@@ -192,7 +243,7 @@ def test_mask_bound_decides_as_the_fraction_bound():
     checked = pruned = 0
     for n in range(4, 10):
         for t in plane_trees(n):
-            if t.max_degree() < 3 or _layout_prunes(t):
+            if t.tree_degree(t.hub) < 3 or _layout_prunes(t):
                 continue
             g = build_halin(t).graph
             bounds = [c3c4_upper_bound(g, e) for e in g.edges()]
@@ -225,7 +276,7 @@ SWEEP_COUNTS = {
 def test_sweep_counts_per_n(n):
     layout_kept = sum(
         1 for t in plane_trees(n)
-        if t.max_degree() >= 3 and not _layout_prunes(t)
+        if t.tree_degree(t.hub) >= 3 and not _layout_prunes(t)
     )
     survivors, pruned, generated = _classify_chunk((n, None, True))
     assert (generated, layout_kept, generated - pruned, len(survivors)) == (

@@ -66,7 +66,6 @@ def test_adjacency_is_sorted():
     g = Graph(4, [(3, 0), (2, 0), (1, 0)])
     assert g.adj[0] == (1, 2, 3)
     assert g.degree(0) == 3 and g.degree(2) == 1
-    assert g.max_degree() == 3
 
 
 def test_has_edge_bounds():
@@ -94,8 +93,7 @@ def test_distances_on_cycle():
 
 def test_neighbor_mask_matches_adjacency():
     g = cycle(5)
-    for v in range(5):
-        assert g.neighbor_mask(v) == sum(1 << w for w in g.adj[v])
+    assert g._masks == tuple(sum(1 << w for w in g.adj[v]) for v in range(5))
 
 
 def test_equality_and_hash_follow_structure():

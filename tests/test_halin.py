@@ -6,7 +6,7 @@ import pytest
 
 from ricci_halin.canonical import are_isomorphic, canonical_form
 from ricci_halin.curvature import curvature_report
-from ricci_halin.enumeration import ordered_tree_shapes, prune_negative
+from ricci_halin.enumeration import _kept_corners, ordered_tree_shapes
 from ricci_halin.graph import Graph
 from ricci_halin.halin import (
     HalinError,
@@ -54,7 +54,7 @@ def test_plane_tree_from_shape_uses_preorder_ids():
     assert t.parent == (-1, 0, 0, 2, 2, 0)
     assert repr(t) == "PlaneTree(n=6, parent=(-1, 0, 0, 2, 2, 0))"
     assert t.tree_degree(0) == 3 and t.tree_degree(2) == 3
-    assert t.is_leaf(1) and not t.is_leaf(2)
+    assert t.tree_degree(1) == 1
 
 
 def test_plane_trees_match_the_nested_shape_recursion():
@@ -199,7 +199,7 @@ def test_build_halin_refuses_paths():
     # nor has it the 3 branches at a hub that the layout rule reads
     for shape in ((), ((),), ((), ()), ((((),),),)):
         t = PlaneTree.from_shape(shape)
-        assert t.max_degree() <= 2 and len(t.leaves) <= 2
+        assert t.tree_degree(t.hub) <= 2 and len(t.leaves) <= 2
         with pytest.raises(HalinError, match="degree must be at least 3"):
             build_halin(t)
         with pytest.raises(HalinError, match="degree must be at least 3"):
@@ -216,7 +216,7 @@ def test_contour_order_is_depth_first():
 
 def test_degree_one_root_leads_the_contour():
     t = PlaneTree.from_shape((((), (), ()),))
-    assert t.is_leaf(0)
+    assert t.tree_degree(0) == 1
     assert t.leaves == (0, 2, 3, 4)
     # joining those leaves produces the 5-wheel with hub 1
     h = build_halin(t)
@@ -239,11 +239,11 @@ def test_hub_is_the_first_vertex_of_maximum_degree():
     t = PlaneTree.from_shape((((), ()), ((), ())))
     assert t.leaves == (2, 3, 5, 6)
     assert t.hub == 1
-    assert t.max_degree() == 3
+    assert t.tree_degree(t.hub) == 3
     assert tree_profile(t).hub == 1
     # a later vertex of larger degree wins over an earlier tie
     t = PlaneTree.from_shape((((), ()), ((), ()), ((), (), ())))
-    assert t.hub == 7 and t.max_degree() == 4
+    assert t.hub == 7 and t.tree_degree(t.hub) == 4
 
 
 def test_build_halin_structure():
@@ -264,15 +264,16 @@ def test_build_halin_invariants_on_random_trees():
     built = 0
     while built < 60:
         t = PlaneTree.from_shape(random_shape(rng, rng.randint(4, 11)))
-        if t.max_degree() < 3:
+        if t.tree_degree(t.hub) < 3:
             continue
         built += 1
         h = build_halin(t)
-        leaves = [v for v in range(t.n) if t.is_leaf(v)]
+        leaves = [v for v in range(t.n) if t.tree_degree(v) == 1]
         assert sorted(t.leaves) == leaves
         assert h.graph.num_edges() == t.n - 1 + len(leaves)
         for v in range(t.n):
-            expected = t.tree_degree(v) + (2 if t.is_leaf(v) else 0)
+            d = t.tree_degree(v)
+            expected = d + (2 if d == 1 else 0)
             assert h.graph.degree(v) == expected
         assert is_halin(h.graph) == all(
             t.tree_degree(v) != 2 for v in range(t.n)
@@ -368,7 +369,8 @@ def test_profile_groups_leaves_by_branch(shape, hub, components):
     branches = [{hub_neighbour_towards(t, p.hub, v) for v in comp}
                 for comp in components]
     assert all(len(b) == 1 for b in branches)
-    assert len(set.union(*branches)) == len(components) == t.max_degree()
+    assert len(set.union(*branches)) == len(components)
+    assert len(components) == t.tree_degree(t.hub)
 
 
 def hub_neighbour_towards(t, hub, v):
@@ -414,7 +416,7 @@ def test_layout_matches_leaf_order_reference_on_all_small_shapes():
     for n in range(4, 11):
         for shape in ordered_tree_shapes(n):
             t = PlaneTree.from_shape(shape)
-            if t.max_degree() < 3:
+            if t.tree_degree(t.hub) < 3:
                 continue
             children = child_lists(shape)
             p = tree_profile(t)
@@ -430,7 +432,9 @@ def test_layout_matches_leaf_order_reference_on_all_small_shapes():
 
 
 def pruned(h):
-    return prune_negative(h.source_tree, h.graph)
+    """The sweep's verdict on h's rooted tree: its corner is not kept."""
+    t = h.source_tree
+    return t.parent not in _kept_corners(t)[1]
 
 
 def test_prune_negative_on_known_graphs():
@@ -449,7 +453,7 @@ def test_pruned_trees_really_have_nonpositive_edges():
     checked = 0
     while checked < 25:
         t = PlaneTree.from_shape(random_shape(rng, rng.randint(4, 9)))
-        if t.max_degree() < 3:
+        if t.tree_degree(t.hub) < 3:
             continue
         h = build_halin(t)
         if pruned(h):

@@ -22,6 +22,7 @@ from ricci_halin.transport import (
 
 from oracles import (
     check_transport_dual,
+    cost_classes,
     random_connected_graph,
     random_gnp_graph,
     random_measure,
@@ -218,7 +219,7 @@ def test_kernel_prices_backward_arcs_from_far_demands():
     supply = [1, 2, 6, 1, 1, 1]
     demand = [1, 1, 1, 2, 2, 3, 1, 1]
     assert transportation_network_simplex(cost, supply, demand) == 45
-    assert _min_cost_flow(cost, supply, demand)[0] == 45
+    assert _min_cost_flow(cost_classes(cost), supply, demand)[0] == 45
 
 
 def test_kernel_matches_network_simplex_on_random_costs():
@@ -234,7 +235,7 @@ def test_kernel_matches_network_simplex_on_random_costs():
             demand[-1] += excess
         else:
             supply[-1] -= excess
-        total, carried = _min_cost_flow(cost, supply, demand)
+        total, carried, _ = _min_cost_flow(cost_classes(cost), supply, demand)
         assert total == transportation_network_simplex(cost, supply, demand)
         shipped = [0] * ns
         for j, flows in enumerate(carried):
@@ -263,27 +264,25 @@ def test_kernel_labels_are_an_optimal_dual_on_random_costs():
             demand[-1] += excess
         else:
             supply[-1] -= excess
-        flow = _min_cost_flow(cost, supply, demand)
-        total, carried = flow
+        total, carried, labels = _min_cost_flow(
+            cost_classes(cost), supply, demand
+        )
         sent = {
             (i, j): amount
             for j, flows in enumerate(carried)
             for i, amount in flows.items()
         }
-        check_transport_dual(cost, supply, demand, sent, flow.labels, total)
+        check_transport_dual(cost, supply, demand, sent, labels, total)
 
 
 def test_kernel_takes_cost_classes_as_rows():
-    # a row may come as {cost: bitmask of demand indices}, as wasserstein
-    # passes it, or as a list of costs
+    # a row is {cost: bitmask of demand indices}, as wasserstein passes it
     cost = [[1, 3, 2], [2, 1, 1]]
     classes = [{1: 0b001, 3: 0b010, 2: 0b100}, {2: 0b001, 1: 0b110}]
+    assert cost_classes(cost) == classes
     supply, demand = [2, 3], [1, 2, 2]
-    by_list = _min_cost_flow(cost, supply, demand)
-    by_mask = _min_cost_flow(classes, supply, demand)
-    assert by_list[0] == by_mask[0] == 6
+    assert _min_cost_flow(classes, supply, demand)[0] == 6
     assert transportation_network_simplex(cost, supply, demand) == 6
-    assert by_list[1] == by_mask[1] and by_list.labels == by_mask.labels
 
 
 def _residual(g, mu, nu):
