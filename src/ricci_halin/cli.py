@@ -34,7 +34,8 @@ from .formats import detect_and_parse, to_dot, to_graph6, write_edge_list
 from .graph import Graph, GraphError
 from .halin import HalinError, parse_family_spec
 
-_FAMILY_RE = re.compile(r"^(W|W1|W2):\d+$")
+# [0-9], not \d, which also matches the decimal digits of other scripts
+_FAMILY_RE = re.compile(r"(W|W1|W2):[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +50,7 @@ class _UsageError(Exception):
 
 
 def _read_graph(source: str) -> Graph:
-    if _FAMILY_RE.match(source):
+    if _FAMILY_RE.fullmatch(source):
         return parse_family_spec(source).graph
     if source == "-":
         text = sys.stdin.read()

@@ -4,20 +4,20 @@ Every rooted ordered tree on n vertices (Catalan many) that is not a
 path yields one generalized Halin graph, and the graph depends only on
 the plane tree underneath, not on the corner it is rooted at.  So the
 sweep visits each plane tree on n <= n_max vertices once, rooted at its
-centroid by `centroid_trees`, and weighs it by the 2(n-1)/s rooted trees
-it stands for (s its rotational symmetry order); graph-level canonical
-forms then collapse the plane trees into isomorphism classes.  Work
-units share n and the first branch at the centroid, and paths are
-skipped.  Optional pruning discards trees that certify a non-positively
-curved edge before any exact computation happens.  One function,
-`_kept_corners`, decides it for each plane tree: the C3/C4 degree bound
-reads the neighbour bitmasks of the graph, in integers, and the layout
-rules (Lemmas 3.2 and 3.3) read the tree at each vertex of maximum
-degree that a rooting can take as its hub; no Graph is built for a tree
-in the sweep.  A rooted tree is pruned exactly when its `parent` tuple
-is not among the corners that `_kept_corners` keeps for its plane tree.
-The counts and each class's least generating `parent` tuple are those
-of the sweep over every rooting.
+centroid by `centroid_trees`; graph-level canonical forms then collapse
+the plane trees into isomorphism classes.  Work units share n and the
+first branch at the centroid, and paths are skipped.  Optional pruning
+discards trees that certify a non-positively curved edge before any
+exact computation happens.  One function, `_kept_corners`, decides it
+for each plane tree: the C3/C4 degree bound reads the neighbour
+bitmasks of the graph, in integers, and the layout rules (Lemmas 3.2
+and 3.3) read the tree at each vertex of maximum degree that a rooting
+can take as its hub; no Graph is built for a tree in the sweep.  A rooted tree is pruned exactly when its `parent` tuple
+is not in the set of rootings that `_kept_corners` keeps for its plane
+tree.  The sweep counts those kept rootings; the rooted trees examined
+are counted by closed form (`_rooted_trees`), and the pruned ones are
+the difference.  The counts and each class's least generating `parent`
+tuple are those of the sweep over every rooting.
 
 Curvature reports for surviving classes are computed on the canonically
 relabeled representative so that serialized output is deterministic.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .canonical import canonical_certificate, canonical_form
@@ -38,11 +39,10 @@ from .curvature import (
 from .formats import from_graph6, pack_graph6
 from .graph import Graph, in_c3_or_c4
 from .halin import (
-    HalinGraph,
     PlaneTree,
     Shape,
     _from_parent,
-    build_halin,
+    build_halin,  # not called here: perfbench traces this name
     centroid_trees,
     corner_rootings,
     halin_edges,
@@ -118,8 +118,8 @@ class ClassificationResult:
     # classes whose minimum is exactly 0 *among pruning survivors*; with
     # pruning on, layout-certified zero classes never reach this list
     zero_classes: tuple[ClassEntry, ...]
-    pruned_count: int  # generated trees discarded by layout pruning
-    generated_count: int  # trees with max degree >= 3 examined
+    pruned_count: int  # generated rooted trees the pruning rules discard
+    generated_count: int  # rooted trees with max degree >= 3
 
     @property
     def counts(self) -> dict[str, int]:
@@ -131,14 +131,6 @@ class ClassificationResult:
 
     def halin_classes(self) -> tuple[ClassEntry, ...]:
         return tuple(e for e in self.classes if e.halin)
-
-
-def distinct_halin_graphs(n_max: int) -> Iterator[HalinGraph]:
-    """One representative per isomorphism class, all curvature signs,
-    ordered by (n, canonical form)."""
-    survivors, _, _ = _survivors(_units(n_max, False), 1)
-    for _key, parent in sorted(survivors.items()):
-        yield build_halin(_from_parent(parent))
 
 
 def _layout_prunes(t: PlaneTree, hub: int | None = None) -> bool:
@@ -190,14 +182,19 @@ def _units(n_max: int, use_pruning: bool) -> list[_Unit]:
     ]
 
 
+def _rooted_trees(n: int) -> int:
+    """The rooted ordered trees on n vertices that are not paths:
+    Catalan(n-1) of them, less the n-1 rootings of the path."""
+    return comb(2 * n - 2, n - 1) // n - (n - 1)
+
+
 def _kept_corners(
     t: PlaneTree, use_pruning: bool = True
-) -> tuple[list[int], list[tuple[int, ...]]]:
+) -> tuple[list[int], set[tuple[int, ...]]]:
     """The sweep's verdict on a plane tree t that is not a path: the
-    neighbour bitmasks of its Halin graph, and the `parent` tuple of
-    each corner of t whose rooting survives, a rooting of symmetry order
-    s appearing s times.  So a rooted tree t is pruned exactly when
-    t.parent is not among them.
+    neighbour bitmasks of its Halin graph, and the set of `parent`
+    tuples of its rootings that survive.  So a rooted tree t is pruned
+    exactly when t.parent is not in that set.
 
     Pruning is sound, not complete: a rooting is dropped only when a
     certified bound forces an edge with kappa <= 0, and wheels near the
@@ -216,50 +213,45 @@ def _kept_corners(
     for u, v in edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    kept = range(n)  # the hubs at which the layout keeps the tree
+    hubs = range(n)  # the hubs at which the layout keeps the tree
     if use_pruning:
         if _degree_bound_prunes(masks, edges):
-            return masks, []
+            return masks, set()
         deg = [t.tree_degree(v) for v in range(n)]
-        kept = {
+        hubs = {
             h for h in range(n)
             if deg[h] == deg[t.hub] and not _layout_prunes(t, h)
         }
-        if not kept:
-            return masks, []
-    return masks, [
-        parent for parent, hub in corner_rootings(t) if hub in kept
-    ]
+        if not hubs:
+            return masks, set()
+    return masks, {
+        parent for parent, hub in corner_rootings(t) if hub in hubs
+    }
 
 
 def _classify_chunk(
     unit: _Unit,
-) -> tuple[dict[tuple[int, int], tuple[int, ...]], int, int]:
+) -> tuple[dict[tuple[int, int], tuple[int, ...]], int]:
     """Map the rooted trees on n vertices whose plane trees
     `centroid_trees(n, first)` yields (all of them if first is None) to
-    {(n, certificate): least parent tuple}, with the counts of rooted
-    trees pruned and of rooted trees examined (those of max degree >= 3).
+    {(n, certificate): least parent tuple}, with the count of rooted
+    trees kept.
 
-    Each plane tree is visited once and stands for R = 2(n-1)/s rooted
-    trees, all with one Halin graph; `_kept_corners` decides which of
-    them survive.
+    Each plane tree is visited once, and its rooted trees all have one
+    Halin graph; `_kept_corners` decides which of them survive.
     """
     n, first, use_pruning = unit
     survivors: dict[tuple[int, int], tuple[int, ...]] = {}
-    pruned = 0
-    generated = 0
-    for t, s in centroid_trees(n, first):
+    kept = 0
+    for t in centroid_trees(n, first):
         if len(t.leaves) < 3:  # a path, of max degree < 3
             continue
-        rootings = 2 * (n - 1) // s
-        generated += rootings
         masks, corners = _kept_corners(t, use_pruning)
-        # each kept rooted tree comes from s corners
-        pruned += rootings - len(corners) // s
+        kept += len(corners)
         if corners:
             key = (n, canonical_certificate(n, masks))
             _keep_least(survivors, key, min(corners))
-    return survivors, pruned, generated
+    return survivors, kept
 
 
 def family_counts(
@@ -276,7 +268,7 @@ def family_counts(
 
 def _sweep(
     units: list[_Unit], workers: int
-) -> Iterator[tuple[dict[tuple[int, int], tuple[int, ...]], int, int]]:
+) -> Iterator[tuple[dict[tuple[int, int], tuple[int, ...]], int]]:
     """Each unit's result, in any order: in-process on one worker, else
     on a pool of that many processes, but no more than there are units."""
     workers = min(workers, len(units))
@@ -291,19 +283,16 @@ def _sweep(
 
 def _survivors(
     units: list[_Unit], workers: int
-) -> tuple[dict[tuple[int, int], tuple[int, ...]], int, int]:
+) -> tuple[dict[tuple[int, int], tuple[int, ...]], int]:
     """{(n, certificate): least parent tuple} over the units, with the
-    counts of rooted trees pruned and examined; the same in any order of
-    results."""
+    count of rooted trees kept; the same in any order of results."""
     survivors: dict[tuple[int, int], tuple[int, ...]] = {}
-    pruned = 0
-    generated = 0
-    for part, p, g in _sweep(units, workers):
+    kept = 0
+    for part, k in _sweep(units, workers):
         for key, parent in part.items():
             _keep_least(survivors, key, parent)
-        pruned += p
-        generated += g
-    return survivors, pruned, generated
+        kept += k
+    return survivors, kept
 
 
 def enumerate_halin(
@@ -314,9 +303,8 @@ def enumerate_halin(
         raise ValueError(f"need n_max >= 4, got {n_max}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    survivors, pruned, generated = _survivors(
-        _units(n_max, use_pruning), workers
-    )
+    survivors, kept = _survivors(_units(n_max, use_pruning), workers)
+    generated = sum(_rooted_trees(n) for n in range(4, n_max + 1))
 
     positives: list[ClassEntry] = []
     zeros: list[ClassEntry] = []
@@ -355,7 +343,7 @@ def enumerate_halin(
         use_pruning=use_pruning,
         classes=tuple(positives),
         zero_classes=tuple(zeros),
-        pruned_count=pruned,
+        pruned_count=generated - kept,
         generated_count=generated,
     )
 

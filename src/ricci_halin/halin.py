@@ -8,14 +8,13 @@ leaves by a cycle in contour order (depth-first, children left to right;
 a degree-1 root is itself a leaf and comes first), which is ascending id
 order, produces a generalized Halin graph.  The cycle is the same from
 every corner the tree could be rooted at, so `centroid_trees` streams
-each unrooted plane tree once, rooted at a centroid, with the number of
-corners that give each of its rootings, and `corner_rootings` lists its
-rootings.  However a tree is made, its leaves (`leaves`) and its
-smallest vertex of maximum degree (`hub`) are read off its parent tuple
-in one place; `build_halin` and the layout predicates read those two
-fields.  The module also builds the three wheel families and evaluates
-the structural predicates that certify non-positive curvature from the
-tree layout alone.
+each unrooted plane tree once, rooted at a centroid, and
+`corner_rootings` lists its rootings.  However a tree is made, its
+leaves (`leaves`) and its smallest vertex of maximum degree (`hub`) are
+read off its parent tuple in one place; `build_halin` and the layout
+predicates read those two fields.  The module also builds the three
+wheel families and evaluates the structural predicates that certify
+non-positive curvature from the tree layout alone.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .graph import Graph
+from .graph import Graph, _decimal
 
 Shape = tuple  # nested tuples; () is a leaf
 
@@ -125,27 +124,22 @@ def _parents(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t.parent for t in plane_trees(k))
 
 
-def _rotation_order(seq: tuple[int, ...]) -> int:
-    """How many rotations of seq equal it, or 0 if one is smaller; no
-    entry of seq is less than its first."""
-    s = 1
+def _is_least_rotation(seq: tuple[int, ...]) -> bool:
+    """Whether no rotation of seq is smaller; no entry of seq is less
+    than its first."""
     for r in range(1, len(seq)):
-        if seq[r] == seq[0]:  # any other rotation is larger
-            rot = seq[r:] + seq[:r]
-            if rot < seq:
-                return 0
-            s += rot == seq
-    return s
+        # a rotation that does not start with seq[0] is larger
+        if seq[r] == seq[0] and seq[r:] + seq[:r] < seq:
+            return False
+    return True
 
 
 def centroid_trees(
     n: int, first: tuple[int, ...] | None = None
-) -> Iterator[tuple[PlaneTree, int]]:
-    """Every plane tree on n >= 2 vertices once, with its rotational
-    symmetry order s.  A plane tree has 2(n-1) corners, and rooted at
-    each it reads as one of the trees of `plane_trees(n)`; s corners
-    give each such rooted tree, so the plane tree stands for 2(n-1)/s
-    of them.
+) -> Iterator[PlaneTree]:
+    """Every plane tree on n >= 2 vertices once.  A plane tree has
+    2(n-1) corners, and rooted at each it reads as one of the trees of
+    `plane_trees(n)`; `corner_rootings` lists them.
 
     A plane tree is rooted here at a centroid, a vertex none of whose
     branches has more than n/2 vertices, so that no rooting need be
@@ -153,12 +147,11 @@ def centroid_trees(
     vertices, c is the only centroid, and the tree is the necklace of
     its branches read round c, each a rooted ordered tree.  Branches are
     ordered by size, larger first, then by `parent`; the tree is rooted
-    at the corner of c where the sequence of its branches is least among
-    its rotations, and s is the number of rotations equal to it.
-    Otherwise n is even and two adjacent centroids split the tree into
-    rooted trees A <= B on n/2 vertices, each read from the corner after
-    the other; the tree is rooted at A's root, B's root its first child,
-    and s = 2 if A = B, else 1.
+    at a corner of c where the sequence of its branches is least among
+    its rotations.  Otherwise n is even and two adjacent centroids split
+    the tree into rooted trees A <= B on n/2 vertices, each read from
+    the corner after the other; the tree is rooted at A's root, B's root
+    its first child.
 
     `first`, the parent tuple of a tree on k <= n/2 vertices, keeps the
     trees whose least branch sequence starts with it (k < n/2) or whose
@@ -200,14 +193,13 @@ def centroid_trees(
                         for j in range(len(branches) - 1, lo - 1, -1)
                     )
                     continue
-                s = _rotation_order(seq)
-                if s:
+                if _is_least_rotation(seq):
                     parent = [-1]
                     for j in seq:
                         o = len(parent)
                         parent.append(0)
                         parent.extend([q + o for q in tails[j]])
-                    yield _from_parent(tuple(parent)), s
+                    yield _from_parent(tuple(parent))
     if n % 2 == 0 and (first is None or len(first) == n // 2):
         k = n // 2
         halves = _parents(k)
@@ -217,14 +209,14 @@ def centroid_trees(
             rest = tuple(q + k if q else 0 for q in a[1:])
             for b in halves[i:]:
                 parent = (-1, 0) + tuple(q + 1 for q in b[1:]) + rest
-                yield _from_parent(parent), 2 if a == b else 1
+                yield _from_parent(parent)
 
 
 def corner_rootings(t: PlaneTree) -> Iterator[tuple[tuple[int, ...], int]]:
     """t's plane tree rooted at each of its 2(n-1) corners: the preorder
     parent tuple, and the hub (the first vertex of maximum degree in
-    that preorder) by its id in t.  A rooted tree of symmetry order s
-    comes from s corners."""
+    that preorder) by its id in t.  A tree with rotational symmetry
+    gives each of its rooted trees from several corners."""
     n, parent = t.n, t.parent
     # each vertex's neighbours in cyclic order: its parent, then its
     # children left to right (they come in increasing id order)
@@ -401,14 +393,14 @@ def is_halin(g: Graph) -> bool:
 
 
 def parse_family_spec(spec: str) -> HalinGraph:
-    """Build a named wheel-family member from "W:n", "W1:n", or "W2:n"."""
+    """Build a named wheel-family member from "W:n", "W1:n", or "W2:n",
+    n in plain ASCII decimal."""
     kind, sep, num = spec.partition(":")
     if not sep or not num:
         raise HalinError(f"malformed family spec {spec!r}, want KIND:n")
-    try:
-        n = int(num)
-    except ValueError:
-        raise HalinError(f"malformed family spec {spec!r}: bad count") from None
+    n = _decimal(num)
+    if n is None:
+        raise HalinError(f"malformed family spec {spec!r}: bad count")
     builders = {"W": wheel, "W1": wheel_sub1, "W2": wheel_sub2}
     if kind not in builders:
         raise HalinError(

@@ -5,17 +5,17 @@ least common denominator, so the whole transport problem runs in
 integers: both measures are scaled to the lcm of their denominators,
 the common mass is stripped (kept in place, which is optimal for metric
 costs), and the residual problem is solved on the bipartite
-supply/demand network.  With one source or one target the flow is
-forced.  Otherwise each source's costs are read off the neighbour
+supply/demand network.  Each source's costs are read off the neighbour
 bitmasks (1 if adjacent, 2 if a common neighbour, `Graph.distance`
 beyond) straight into cost classes: one bitmask of target indices per
-cost value, the one row format the kernel `_min_cost_flow` takes.  It
-solves the problem by primal-dual phases over these masks: one
-labelling pass, `_relabel`, sets the labels before each phase (before
-the first, with no flow yet, it settles each target at its column
-minimum), and each phase pushes flow along tight arcs, direct ones
-first, then paths found by a search over the masks.
-For the lazy measures of an edge the residual costs lie in {1, 2, 3},
+cost value, the one row format the kernel `_min_cost_flow` takes.
+Every residual with mass to move goes through the kernel, one source or
+one target included.  It solves the problem by primal-dual phases over
+these masks: one labelling pass, `_relabel`, sets the labels before
+each phase (before the first, with no flow yet, it settles each target
+at its column minimum), and each phase pushes flow along tight arcs,
+direct ones first, then paths found by a search over the masks.  For
+the lazy measures of an edge the residual costs lie in {1, 2, 3},
 so there are at most three phases.  The kernel's final labels are an
 optimal dual, kept with the result.  The one `Fraction` a solve builds
 is its cost; the optimal coupling is kept as integer triples and read
@@ -416,50 +416,34 @@ def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
     sources = sorted(res_s)
     targets = sorted(res_d)
     distance = g._distance
-    # with one source or one target the flow is forced, and labels that
-    # make every arc tight are an optimal dual
-    if len(sources) == 1:
-        u = sources[0]
-        cost = [distance(u, v) for v in targets]
-        pairs.extend((u, v, res_d[v]) for v in targets)
-        total = sum(c * res_d[v] for c, v in zip(cost, targets))
-        labels = [0, *cost]
-    elif len(targets) == 1:
-        v = targets[0]
-        cost = [distance(u, v) for u in sources]
-        pairs.extend((u, v, res_s[u]) for u in sources)
-        total = sum(c * res_s[u] for c, u in zip(cost, sources))
-        top = max(cost)
-        labels = [top - c for c in cost] + [top]
-    else:
-        # each source's cost classes over the target indices, read off
-        # the neighbour bitmasks: 1 if adjacent, 2 if a common neighbour
-        masks = g._masks
-        columns = [(1 << j, v, masks[v]) for j, v in enumerate(targets)]
-        classes = []
-        for u in sources:
-            near = masks[u]
-            ones = twos = 0
-            cls: dict[int, int] = {}
-            for bit, v, mv in columns:
-                if near >> v & 1:
-                    ones |= bit
-                elif near & mv:
-                    twos |= bit
-                else:
-                    c = distance(u, v)
-                    cls[c] = cls.get(c, 0) | bit
-            if ones:
-                cls[1] = ones
-            if twos:
-                cls[2] = twos
-            classes.append(cls)
-        total, carried, labels = _min_cost_flow(
-            classes, [res_s[u] for u in sources], [res_d[v] for v in targets]
-        )
-        for v, flows in zip(targets, carried):
-            for i, k in flows.items():
-                pairs.append((sources[i], v, k))
+    # each source's cost classes over the target indices, read off the
+    # neighbour bitmasks: 1 if adjacent, 2 if a common neighbour
+    masks = g._masks
+    columns = [(1 << j, v, masks[v]) for j, v in enumerate(targets)]
+    classes = []
+    for u in sources:
+        near = masks[u]
+        ones = twos = 0
+        cls: dict[int, int] = {}
+        for bit, v, mv in columns:
+            if near >> v & 1:
+                ones |= bit
+            elif near & mv:
+                twos |= bit
+            else:
+                c = distance(u, v)
+                cls[c] = cls.get(c, 0) | bit
+        if ones:
+            cls[1] = ones
+        if twos:
+            cls[2] = twos
+        classes.append(cls)
+    total, carried, labels = _min_cost_flow(
+        classes, [res_s[u] for u in sources], [res_d[v] for v in targets]
+    )
+    for v, flows in zip(targets, carried):
+        for i, k in flows.items():
+            pairs.append((sources[i], v, k))
     return TransportResult(
         Fraction(total, scale), pairs, scale, (sources, targets, labels)
     )

@@ -12,7 +12,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from ricci_halin.enumeration import distinct_halin_graphs, verify_theorem
+from ricci_halin.enumeration import verify_theorem
+
+from oracles import distinct_halin_graphs
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,12 @@ deliberately sharing no algorithmic machinery with the package: the
 transport oracle enumerates whole integer flow matrices, the dual oracle
 iterates over all integer Lipschitz functions via itertools.product, the
 cycle oracle scans vertex tuples, and the plane-tree oracle builds every
-nested shape by recursion on the size of its first subtree.  The one
-exception is the rooted sweep: it applies the package's own pruning
-rules and canonical form, but to every rooted tree, so it checks only
-how the package stands one plane tree for all of its rootings.
+nested shape by recursion on the size of its first subtree.  The
+exceptions read the package's sweep.  The rooted sweep applies its
+pruning rules and canonical form, but to every rooted tree, so it
+checks only how the package stands one plane tree for all of its
+rootings.  `distinct_halin_graphs` is no oracle but a fixture source:
+one representative per class, from the unpruned sweep.
 """
 from __future__ import annotations
 
@@ -371,3 +373,15 @@ def rooted_sweep(n: int, use_pruning: bool = True):
         if key not in survivors or t.parent < survivors[key]:
             survivors[key] = t.parent
     return survivors, pruned, generated
+
+
+def distinct_halin_graphs(n_max: int):
+    """One representative HalinGraph per isomorphism class on at most
+    n_max vertices, all curvature signs, ordered by (n, canonical
+    form)."""
+    from ricci_halin.enumeration import _survivors, _units
+    from ricci_halin.halin import _from_parent, build_halin
+
+    survivors, _ = _survivors(_units(n_max, False), 1)
+    for _key, parent in sorted(survivors.items()):
+        yield build_halin(_from_parent(parent))

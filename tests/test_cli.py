@@ -59,6 +59,16 @@ def test_gen_rejects_bad_specs(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec", ["W:\u0665", "W1:\u0666", "W:+5", "W:1_0", "W: 5", "W:05", "W:5\n"]
+)
+def test_family_counts_are_plain_ascii_decimal(capsys, spec):
+    # int() reads each of these counts, and \d matches Arabic-Indic digits
+    assert main(["gen", spec]) == 1
+    assert main(["curv", spec]) == 1
+    assert "error" in capsys.readouterr().err
+
+
 def test_curv_table_on_the_5_wheel(capsys):
     assert main(["curv", "W:5"]) == 0
     out = capsys.readouterr().out

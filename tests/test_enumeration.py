@@ -16,10 +16,10 @@ from ricci_halin.enumeration import (
     _degree_bound_prunes,
     _kept_corners,
     _layout_prunes,
+    _rooted_trees,
     _survivors,
     _units,
     classification_to_json_dict,
-    distinct_halin_graphs,
     enumerate_halin,
     ordered_tree_shapes,
     recognize_family,
@@ -28,13 +28,14 @@ from ricci_halin.enumeration import (
 from ricci_halin.halin import (
     PlaneTree,
     build_halin,
+    corner_rootings,
     halin_edges,
     plane_trees,
     wheel,
     wheel_sub2,
 )
 
-from oracles import rooted_sweep
+from oracles import distinct_halin_graphs, rooted_sweep
 
 F = Fraction
 
@@ -208,8 +209,9 @@ def test_kept_corners_apply_the_rooted_rule(n):
         assert (t.parent in corners) == want
         assert tuple(masks) == build_halin(t).graph._masks
         _, every = _kept_corners(t, use_pruning=False)
-        assert len(every) == 2 * (n - 1) and t.parent in every
-        assert set(corners) <= set(every)
+        assert every == {p for p, _ in corner_rootings(t)}
+        assert t.parent in every
+        assert corners <= every
 
 
 @pytest.mark.parametrize(
@@ -218,10 +220,13 @@ def test_kept_corners_apply_the_rooted_rule(n):
 )
 def test_sweep_matches_the_rooted_sweep(n, use_pruning):
     # one visit per plane tree gives what one visit per rooted tree gives:
-    # the classes, each one's least parent tuple, and both counts
-    assert _classify_chunk((n, None, use_pruning)) == rooted_sweep(
-        n, use_pruning
+    # the classes, each one's least parent tuple and the count kept; and
+    # the closed form counts the rooted trees that the visit examines
+    survivors, pruned, generated = rooted_sweep(n, use_pruning)
+    assert _classify_chunk((n, None, use_pruning)) == (
+        survivors, generated - pruned
     )
+    assert _rooted_trees(n) == generated
 
 
 def test_sweep_builds_no_graph(monkeypatch):
@@ -278,8 +283,8 @@ def test_sweep_counts_per_n(n):
         1 for t in plane_trees(n)
         if t.tree_degree(t.hub) >= 3 and not _layout_prunes(t)
     )
-    survivors, pruned, generated = _classify_chunk((n, None, True))
-    assert (generated, layout_kept, generated - pruned, len(survivors)) == (
+    survivors, kept = _classify_chunk((n, None, True))
+    assert (_rooted_trees(n), layout_kept, kept, len(survivors)) == (
         SWEEP_COUNTS[n]
     )
 

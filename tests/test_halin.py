@@ -87,14 +87,16 @@ def test_centroid_trees_count_the_plane_trees():
 
 
 def test_rootings_of_the_plane_trees_are_catalan_many():
-    for n in range(2, 14):
-        rootings = sum(2 * (n - 1) // s for _, s in centroid_trees(n))
+    for n in range(2, 13):
+        rootings = sum(
+            len({p for p, _ in corner_rootings(t)}) for t in centroid_trees(n)
+        )
         assert rootings == comb(2 * n - 2, n - 1) // n  # Catalan(n-1)
 
 
 def test_centroid_trees_are_rooted_at_a_centroid():
     for n in range(2, 11):
-        for t, _ in centroid_trees(n):
+        for t in centroid_trees(n):
             sizes = [0] * n  # subtree sizes, leaves up
             for v in range(n - 1, 0, -1):
                 sizes[v] += 1
@@ -112,11 +114,12 @@ def test_corner_rootings_part_the_rooted_stream():
     for n in range(2, 11):
         stream = {t.parent: t for t in plane_trees(n)}
         parted = []
-        for t, s in centroid_trees(n):
+        for t in centroid_trees(n):
             corners = list(corner_rootings(t))
             assert len(corners) == 2 * (n - 1)
             rooted = sorted({parent for parent, _ in corners})
-            assert len(rooted) == 2 * (n - 1) // s
+            # each rooted tree comes from as many corners as any other
+            s = len(corners) // len(rooted)
             assert all(
                 [p for p, _ in corners].count(parent) == s
                 for parent in rooted
@@ -137,12 +140,12 @@ def test_corner_rootings_part_the_rooted_stream():
 
 def test_centroid_trees_under_each_first_branch_part_the_stream():
     for n in range(2, 12):
-        stream = sorted((t.parent, s) for t, s in centroid_trees(n))
+        stream = sorted(t.parent for t in centroid_trees(n))
         parted = sorted(
-            (t.parent, s)
+            t.parent
             for k in range(1, n // 2 + 1)
             for head in plane_trees(k)
-            for t, s in centroid_trees(n, head.parent)
+            for t in centroid_trees(n, head.parent)
         )
         assert parted == stream
 

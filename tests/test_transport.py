@@ -333,6 +333,8 @@ def test_wasserstein_labels_are_an_optimal_dual_on_lazy_edge_measures():
 
 
 def test_wasserstein_takes_every_kernel_branch():
+    # every residual but the empty one runs the kernel, one source or
+    # one target included
     counts = dict.fromkeys(
         [
             "empty residual",
