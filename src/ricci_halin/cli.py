@@ -99,9 +99,12 @@ def _cmd_curv(args) -> int:
         if g.degree(u) + g.degree(v) <= args.oracle_threshold:
             dual = kappa_lly_dual(g, (u, v), args.oracle_threshold)
             if dual != k:
-                raise AssertionError(
-                    f"primal/dual disagree on edge ({u},{v}): {k} vs {dual}"
+                print(
+                    f"error: primal/dual disagree on edge ({u},{v}): "
+                    f"{k} vs {dual}",
+                    file=sys.stderr,
                 )
+                return 1
     if args.format == "table":
         text = _curv_table(g, report)
     elif args.format == "json":

@@ -17,6 +17,15 @@ vertices of N[x] u N[y], hence is at most 3, and comes from
 `Graph.distance` (neighbour bitmasks), so the cost of one edge does not
 depend on the size of the graph and no all-pairs table is ever built.
 
+Being local, the same problem comes back on many edges of a sparse
+graph.  Each route therefore solves each distinct problem once per
+graph and keeps its exact optimum in the graph's memo, keyed on the
+problem as built: the transport residual (see `transport`), and for the
+dual (d_x, d_y, c, lo, hi, ahead) in search order.  Equal keys are the
+same problem, so a hit is exact.  The routes stay independent: the
+dual solves each of its own problems itself, and `curv` compares the
+two on every edge it checks.  The certificates solve afresh.
+
 Certificates (a Lipschitz function, or a coupling at some idleness) are
 checkable objects proving one-sided bounds.  The Lipschitz checker also
 accepts extra vertices anywhere in the graph; for those pairs it runs a
@@ -41,6 +50,7 @@ from .graph import (
 from .transport import (
     CouplingEntry,
     Measure,
+    _transport_cost,
     check_coupling,
     vertex_measure,
     wasserstein,
@@ -97,7 +107,7 @@ def kappa_alpha(
 def _kappa_alpha(g: Graph, x: int, y: int, alpha: Fraction) -> Fraction:
     mx = vertex_measure(g, x, alpha)
     my = vertex_measure(g, y, alpha)
-    return 1 - wasserstein(g, mx, my).cost
+    return 1 - _transport_cost(g, mx, my)
 
 
 def kappa_lly(g: Graph, e: Sequence[int]) -> Fraction:
@@ -106,9 +116,13 @@ def kappa_lly(g: Graph, e: Sequence[int]) -> Fraction:
     return _kappa_alpha(g, x, y, alpha) / (1 - alpha)
 
 
-def _dual_search(
+def _dual_problem(
     g: Graph, x: int, y: int, threshold: int
-) -> tuple[Fraction, dict[int, int]]:
+) -> tuple[list[int], tuple]:
+    """The dual search's problem on the edge xy, as (free, key): the free
+    vertices of N[x] u N[y] in search order, and the key (dx, dy, c, lo,
+    hi, ahead) that `_dual_search` solves, all in that order.  Every
+    distance it reads is at most 3."""
     dx, dy = g.degree(x), g.degree(y)
     if dx + dy > threshold:
         raise OracleInfeasibleError(
@@ -124,13 +138,13 @@ def _dual_search(
         for v in (adj_x | adj_y) - {x, y}
     }
     free = sorted(coeff, key=lambda v: (-abs(coeff[v]), v))
-    k = len(free)
-    c = [coeff[v] for v in free]
+    c = tuple([coeff[v] for v in free])
     distance = g._distance
     # ahead[i][j - i - 1] is the distance from free[i] to free[j], j > i
-    ahead = [
-        [distance(u, v) for v in free[i + 1:]] for i, u in enumerate(free)
-    ]
+    ahead = tuple([
+        tuple([distance(u, v) for v in free[i + 1:]])
+        for i, u in enumerate(free)
+    ])
     lo, hi = [], []
     for v in free:
         dx_v, dy_v = distance(v, x), distance(v, y)
@@ -138,6 +152,23 @@ def _dual_search(
         hi.append(min(2, dx_v, 1 + dy_v))
         if lo[-1] > hi[-1]:
             raise CurvatureError("empty Lipschitz domain")  # unreachable
+    return free, (dx, dy, c, tuple(lo), tuple(hi), ahead)
+
+
+def _dual_search(
+    dx: int,
+    dy: int,
+    c: Sequence[int],
+    lo: Sequence[int],
+    hi: Sequence[int],
+    ahead: Sequence[Sequence[int]],
+) -> tuple[int, list[int]]:
+    """Branch-and-bound over integer f on the free vertices, each in its
+    box [lo, hi] and 1-Lipschitz against the ones before it: returns the
+    least scaled objective and the values that reach it, in search
+    order."""
+    k = len(c)
+    lo, hi = list(lo), list(hi)
     value = [0] * k
     best: int | None = None
     best_f: list[int] = []
@@ -169,17 +200,23 @@ def _dual_search(
             lo[i + 1:], hi[i + 1:] = saved_lo, saved_hi
 
     descend(0, dx * dy + dy)
-    f = {x: 0, y: 1}
-    f.update(zip(free, best_f))
-    return Fraction(best, dx * dy), f
+    return best, best_f
 
 
 def kappa_lly_dual(
     g: Graph, e: Sequence[int], threshold: int = DEFAULT_ORACLE_THRESHOLD
 ) -> Fraction:
-    """Curvature by exhaustive search over integer Lipschitz functions."""
+    """Curvature by exhaustive search over integer Lipschitz functions.
+
+    Each distinct search problem is solved once per graph: its optimum
+    is kept in `g._memo` under its key, which is the whole problem."""
     x, y = require_edge(g, e)
-    return _dual_search(g, x, y, threshold)[0]
+    _, key = _dual_problem(g, x, y, threshold)
+    memo = g._memo
+    best = memo.get(key)
+    if best is None:
+        best = memo[key] = _dual_search(*key)[0]
+    return Fraction(best, key[0] * key[1])
 
 
 def lipschitz_certificate(
@@ -187,7 +224,9 @@ def lipschitz_certificate(
 ) -> "LipschitzCertificate":
     """An optimal dual witness: certifies the exact curvature from above."""
     x, y = require_edge(g, e)
-    _, f = _dual_search(g, x, y, threshold)
+    free, key = _dual_problem(g, x, y, threshold)
+    f = {x: 0, y: 1}
+    f.update(zip(free, _dual_search(*key)[1]))
     return LipschitzCertificate((x, y), f)
 
 

@@ -2,7 +2,9 @@
 
 Vertices are the integers 0..n-1.  Graphs are connected by construction
 and never mutated afterwards, so adjacency can be shared freely across
-workers.  `Graph.distance` answers one pair at a time: distances up to 3
+workers.  The one mutable field is `_memo`, a cache of the exact optima
+of local curvature problems solved on the graph, keyed on the problems
+themselves; no output can see it.  `Graph.distance` answers one pair at a time: distances up to 3
 (all that curvature ever needs) come from neighbour bitmasks, farther
 pairs from a BFS, so no n-by-n table is needed.  The all-pairs table
 `Graph.dist` is kept as an independent reference for tests; the package
@@ -50,9 +52,15 @@ class Graph:
       adj:  adj[v] is the sorted tuple of neighbors of v.
       dist: dist[u][v] is the shortest-path distance (hop count), an
             n-by-n table built on first read; `distance` needs no table.
+      _memo: the one field that changes after construction, a cache
+            that no output can see: the exact optimum of each distinct
+            local problem that `curvature` solved on this graph, keyed
+            on the whole problem, so it lives as long as the graph and
+            is never shared with another.  A transport key has 3 parts
+            and a dual key 6, so the two solvers' keys never meet.
     """
 
-    __slots__ = ("n", "adj", "_masks", "_dist")
+    __slots__ = ("n", "adj", "_masks", "_dist", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -76,6 +84,7 @@ class Graph:
             sum(1 << w for w in s) for s in nbrs
         )
         self._dist: tuple[tuple[int, ...], ...] | None = None
+        self._memo: dict[tuple, int] = {}
         # one BFS settles connectivity; distances wait until needed
         reached = 1
         seen = bytearray(n)

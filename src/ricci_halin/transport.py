@@ -5,10 +5,11 @@ least common denominator, so the whole transport problem runs in
 integers: both measures are scaled to the lcm of their denominators,
 the common mass is stripped (kept in place, which is optimal for metric
 costs), and the residual problem is solved on the bipartite
-supply/demand network.  Each source's costs are read off the neighbour
-bitmasks (1 if adjacent, 2 if a common neighbour, `Graph.distance`
-beyond) straight into cost classes: one bitmask of target indices per
-cost value, the one row format the kernel `_min_cost_flow` takes.
+supply/demand network.  `_residual` builds that problem, the one place
+it is built.  Each source's costs are read off the neighbour bitmasks
+(1 if adjacent, 2 if a common neighbour, `Graph.distance` beyond)
+straight into cost classes: one bitmask of target indices per cost
+value, the one row format the kernel `_min_cost_flow` takes.
 Every residual with mass to move goes through the kernel, one source or
 one target included.  It solves the problem by primal-dual phases over
 these masks: one labelling pass, `_relabel`, sets the labels before
@@ -20,12 +21,21 @@ so there are at most three phases.  The kernel's final labels are an
 optimal dual, kept with the result.  The one `Fraction` a solve builds
 is its cost; the optimal coupling is kept as integer triples and read
 out as exact `Fraction` entries on demand.
+
+Two entry points share that problem.  `wasserstein` solves it afresh
+and returns the coupling and the duals, for certificates and checks.
+`_transport_cost`, the curvature's route, returns the cost alone and
+solves each distinct residual problem once per graph: the kernel's
+integer optimum is kept in the graph's memo under the key (supplies,
+demands, each source's cost-class row), in the order `_residual` built
+them.  The key is the whole problem, so a hit is exact.  It is not put
+in a canonical order: sorting costs more than the hits it would add.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, _is_int
 
@@ -183,8 +193,8 @@ def _check_vertices(g: Graph, mu: Measure) -> None:
 
 def _min_cost_flow(
     classes: list[dict[int, int]],
-    supply: list[int],
-    demand: list[int],
+    supply: Sequence[int],
+    demand: Sequence[int],
 ) -> tuple[int, list[dict[int, int]], list[int]]:
     """Exact transportation problem by primal-dual phases over bitmasks.
 
@@ -388,14 +398,26 @@ def _relabel(
     return level
 
 
-def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
-    """Exact 1-Wasserstein distance and an optimal coupling."""
+def _residual(
+    g: Graph, mu: Measure, nu: Measure
+) -> tuple[int, list[int], list[int], tuple[int, ...], tuple[int, ...],
+           list[dict[int, int]], tuple[int, ...]] | None:
+    """The transport problem left once the mass the two measures share is
+    kept in place, in integers at scale lcm of their denominators.
+
+    Returns None when no mass moves, else (scale, sources, targets,
+    supply, demand, classes, rows): the sorted vertices with mass to
+    send and to receive, their integer masses, each source's cost
+    classes over the target indices (the kernel's row format), and each
+    source's row packed into one int, class c's mask shifted by
+    (c - 1) * len(targets).  The classes part the targets, so a packed
+    row determines its costs, and (supply, demand, rows) the problem.
+    """
     _check_vertices(g, mu)
     _check_vertices(g, nu)
     scale = lcm(mu._den, nu._den)
     a, b = scale // mu._den, scale // nu._den
     mu_num, nu_num = mu._num, nu._num
-    pairs: list[tuple[int, int, int]] = []
     res_s: dict[int, int] = {}
     res_d: dict[int, int] = {}
     for v, k in mu_num.items():
@@ -405,22 +427,21 @@ def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
             res_s[v] = s - t
         elif t > s:
             res_d[v] = t - s
-        common = min(s, t)
-        if common:
-            pairs.append((v, v, common))
+    if not res_s:
+        return None
     for v, k in nu_num.items():
         if v not in mu_num:
             res_d[v] = k * b
-    if not res_s:
-        return TransportResult(ZERO, pairs, scale, None)
     sources = sorted(res_s)
     targets = sorted(res_d)
+    nd = len(targets)
     distance = g._distance
     # each source's cost classes over the target indices, read off the
     # neighbour bitmasks: 1 if adjacent, 2 if a common neighbour
     masks = g._masks
     columns = [(1 << j, v, masks[v]) for j, v in enumerate(targets)]
     classes = []
+    rows = []
     for u in sources:
         near = masks[u]
         ones = twos = 0
@@ -433,20 +454,59 @@ def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
             else:
                 c = distance(u, v)
                 cls[c] = cls.get(c, 0) | bit
+        row = ones | twos << nd
+        for c, m in cls.items():
+            row |= m << (c - 1) * nd
+        rows.append(row)
         if ones:
             cls[1] = ones
         if twos:
             cls[2] = twos
         classes.append(cls)
-    total, carried, labels = _min_cost_flow(
-        classes, [res_s[u] for u in sources], [res_d[v] for v in targets]
-    )
+    supply = tuple([res_s[u] for u in sources])
+    demand = tuple([res_d[v] for v in targets])
+    return scale, sources, targets, supply, demand, classes, tuple(rows)
+
+
+def wasserstein(g: Graph, mu: Measure, nu: Measure) -> TransportResult:
+    """Exact 1-Wasserstein distance and an optimal coupling, solved afresh."""
+    residual = _residual(g, mu, nu)
+    scale = lcm(mu._den, nu._den)
+    a, b = scale // mu._den, scale // nu._den
+    nu_num = nu._num
+    # the shared mass, kept in place
+    pairs = [
+        (v, v, min(k * a, nu_num[v] * b))
+        for v, k in mu._num.items() if v in nu_num
+    ]
+    if residual is None:
+        return TransportResult(ZERO, pairs, scale, None)
+    _, sources, targets, supply, demand, classes, _ = residual
+    total, carried, labels = _min_cost_flow(classes, supply, demand)
     for v, flows in zip(targets, carried):
         for i, k in flows.items():
             pairs.append((sources[i], v, k))
     return TransportResult(
         Fraction(total, scale), pairs, scale, (sources, targets, labels)
     )
+
+
+def _transport_cost(g: Graph, mu: Measure, nu: Measure) -> Fraction:
+    """The optimal cost alone: no coupling is built, and each distinct
+    residual problem is solved once per graph.  Its integer optimum is
+    kept in `g._memo` under the key (supply, demand, rows), built in the
+    order `_residual` gives; equal keys are the same problem, so a hit
+    is exact."""
+    residual = _residual(g, mu, nu)
+    if residual is None:
+        return ZERO
+    scale, _, _, supply, demand, classes, rows = residual
+    key = (supply, demand, rows)
+    memo = g._memo
+    total = memo.get(key)
+    if total is None:
+        total = memo[key] = _min_cost_flow(classes, supply, demand)[0]
+    return Fraction(total, scale)
 
 
 def coupling_cost(g: Graph, plan: Iterable[CouplingEntry]) -> Fraction:

@@ -385,3 +385,21 @@ def distinct_halin_graphs(n_max: int):
     survivors, _ = _survivors(_units(n_max, False), 1)
     for _key, parent in sorted(survivors.items()):
         yield build_halin(_from_parent(parent))
+
+
+def random_halin_graph(n: int, seed: int) -> Graph:
+    """A seeded random generalized Halin graph on n vertices, built by the
+    package's `build_halin`.  Its tree is grown in preorder: vertex v
+    hangs below a vertex of the rightmost path, k steps up from v - 1
+    with k about exponential of mean 1, so the degrees stay small."""
+    from ricci_halin.halin import _from_parent, build_halin
+
+    rnd = random.Random(seed)
+    parent = [-1]
+    path = [0]  # the rightmost path, root first
+    for v in range(1, n):
+        k = min(int(rnd.expovariate(1.0)), len(path) - 1)
+        del path[len(path) - k:]
+        parent.append(path[-1])
+        path.append(v)
+    return build_halin(_from_parent(tuple(parent))).graph

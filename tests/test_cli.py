@@ -6,13 +6,14 @@ import random
 
 import pytest
 
+from ricci_halin import cli
 from ricci_halin.cli import main
 from ricci_halin.curvature import coupling_certificate, certificate_to_json, lipschitz_certificate
 from ricci_halin.formats import from_graph6, parse_edge_list, to_graph6, write_edge_list
 from ricci_halin.graph import Graph
 from ricci_halin.halin import wheel
 
-from oracles import random_gnp_graph
+from oracles import random_gnp_graph, random_halin_graph
 
 
 def cycle6_text():
@@ -83,6 +84,23 @@ def test_curv_exit_code_2_on_nonpositive(capsys, tmp_path):
     assert main(["curv", str(path)]) == 2
     out = capsys.readouterr().out
     assert "min 0  positively_curved false" in out
+
+
+def test_curv_primal_dual_disagreement_exits_1(capsys, monkeypatch):
+    # the cross-check runs on every edge, memo hits included: a dual that
+    # errs only on the last rim edge of W_5, whose problem the other rim
+    # edges have already solved, is caught and refused
+    real = cli.kappa_lly_dual
+
+    def wrong_on_3_4(g, e, threshold):
+        k = real(g, e, threshold)
+        return k + 1 if tuple(e) == (3, 4) else k
+
+    monkeypatch.setattr(cli, "kappa_lly_dual", wrong_on_3_4)
+    assert main(["curv", "W:5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: primal/dual disagree on edge (3,4): 1 vs 2\n"
+    assert captured.out == ""
 
 
 def test_curv_json_format(capsys):
@@ -195,14 +213,20 @@ def test_enum_output_is_byte_identical(capsys):
 
 def test_curv_json_is_byte_identical(capsys, tmp_path):
     # pinned exact curvatures: a dense random graph, where every degree
-    # sum is above 14 so only the transport route runs, and W''_10
+    # sum is above 14 so only the transport route runs; W''_10; a random
+    # generalized Halin graph on 300 vertices, whose local problems
+    # repeat; and W_200, whose 199 spokes are one problem
     g = random_gnp_graph(random.Random(40), 40, 0.5)
     assert all(g.degree(x) + g.degree(y) > 14 for x, y in g.edges())
     path = tmp_path / "dense40.edges"
     path.write_text(write_edge_list(g), encoding="ascii")
+    halin = tmp_path / "halin300.edges"
+    halin.write_text(write_edge_list(random_halin_graph(300, 1)), encoding="ascii")
     for source, digest in [
         (str(path), "3e745059434b48ec2fd7e0aed81c7f8c89b0665857f12fc6a049dddcd4774290"),
         ("W2:10", "bde82cf62b5de22137026d627d2986ffa6449daa877e59a9cab1a37a5935d13a"),
+        (str(halin), "9d159fe45dc4e018877f98e38e90dbce47c9e794720cc2594342ff59950bbf23"),
+        ("W:200", "c8a402b54fa2b1b5adeb778223fdadef70c5fb8d8d58487e0c1b2e8575083741"),
     ]:
         main(["curv", source, "--format", "json"])
         out = capsys.readouterr().out

@@ -21,7 +21,12 @@ from ricci_halin.curvature import (
 from ricci_halin.graph import Graph, GraphError
 from ricci_halin.halin import wheel
 
-from oracles import dual_exhaustive, random_connected_graph, random_tree
+from oracles import (
+    dual_exhaustive,
+    random_connected_graph,
+    random_halin_graph,
+    random_tree,
+)
 
 F = Fraction
 
@@ -249,3 +254,31 @@ def test_curvature_report_structure():
 
     with pytest.raises(CurvatureError):
         curvature_report(Graph(1, []))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: random_halin_graph(300, 1), lambda: complete(8), lambda: wheel(6).graph],
+    ids=["halin300", "K8", "W6"],
+)
+def test_memo_hits_equal_fresh_solves(build):
+    # each graph keeps the optimum of every distinct local problem solved
+    # on it; a memo hit must give what a graph with an empty memo gives
+    g = build()
+    report = curvature_report(g)
+    # every degree sum here is within the dual's threshold
+    duals = {e: kappa_lly_dual(g, e) for e in g.edges()}
+    for e, k in report.edge_curvature:
+        # a new graph has an empty memo, and the two solvers' keys differ
+        fresh = Graph(g.n, g.edges())
+        assert kappa_lly(fresh, e) == kappa_lly(g, e) == k
+        assert kappa_lly_dual(fresh, e) == duals[e] == k
+    assert len(g._memo) < g.num_edges()
+
+
+def test_an_empty_residual_is_not_solved():
+    # on K_8 the two lazy measures at the critical idleness are equal, so
+    # no mass moves on any edge and nothing is kept
+    g = complete(8)
+    assert curvature_report(g).min_curvature == F(8, 7)
+    assert g._memo == {}
